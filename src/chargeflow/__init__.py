@@ -81,7 +81,6 @@ from .potentials import (
     SignActivation,
     SignPotential,
     activation_from_potential_taylor,
-    built_in_pairs,
     dual_from_hermite,
     empirical_dual,
     eval_potential,

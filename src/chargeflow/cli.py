@@ -168,7 +168,7 @@ def cmd_dynamics(args):
         objective=obj, hypothesis_k=cfg.k,
     )
     if cfg.out:
-        dyn.write_jsonl(records, cfg.out)
+        harness.write_jsonl(records, cfg.out)
         print(f"wrote {len(records)} records to {cfg.out}")
     else:
         for rec in records:

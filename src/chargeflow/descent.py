@@ -362,7 +362,7 @@ def initialize_node(obj: Objective, policy, seed=0):
         a, change = obj.optimal_outer_weight(theta)
     elif isinstance(policy, RandomBallInit):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-        quad = obj.potential.diagonal() + (1.0 if obj.regularization == "charge" else 0.0)
+        quad = obj.outer_curvature()
         best = (None, None, np.inf)
         remaining = policy.trials
         while remaining > 0:

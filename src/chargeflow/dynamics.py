@@ -8,12 +8,11 @@ acceleration, so the system is first order and has no momentum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CollisionSingularity, FixedParticle
+from .errors import CollisionSingularity, FixedParticle, NonDifferentiablePoint
 from .loss import Hypothesis, Objective
 
 SCHEMA_VERSION = 1
@@ -44,30 +43,20 @@ class ParticleSystem:
     def n(self):
         return self.positions.shape[0]
 
-    @property
-    def mobile(self):
-        return [i for i in range(self.n) if i not in self.fixed]
 
-
-def _collision_check(sys: ParticleSystem, positions):
-    if sys.potential.smooth_origin:
-        return
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    if np.min(dist) < 1e-10:
-        raise CollisionSingularity(
-            f"particles collided at a kernel kink/singularity (min dist {np.min(dist):g})"
-        )
-
-
-def _velocity(sys: ParticleSystem, positions, i):
-    acc = np.zeros(positions.shape[1])
-    for j in range(sys.n):
-        if j == i:
-            continue
-        acc += sys.charges[j] * sys.potential.grad_theta(positions[i], positions[j])
-    return -sys.charges[i] * acc
+def velocity_field(sys: ParticleSystem, positions=None):
+    """Velocities of all particles, v_i = -q_i sum_j q_j grad_{x_i} Phi(x_i, x_j)
+    (tangent to the sphere for sphere kernels; zero rows for the fixed ones)."""
+    pos = sys.positions if positions is None else positions
+    pot = sys.potential
+    try:
+        _, g = pot.pairwise_grad(pos)
+    except NonDifferentiablePoint as exc:
+        raise CollisionSingularity(f"particles collided: {exc}") from exc
+    q = sys.charges
+    field = pot.tangent(pos, -q[:, None] * np.einsum("ijd,j->id", g, q))
+    field[list(sys.fixed)] = 0.0
+    return field
 
 
 def net_force(sys: ParticleSystem, i):
@@ -75,18 +64,7 @@ def net_force(sys: ParticleSystem, i):
     gradients against every other particle."""
     if i in sys.fixed:
         raise FixedParticle(f"particle {i} is immobile")
-    _collision_check(sys, sys.positions)
-    return _velocity(sys, sys.positions, i)
-
-
-def velocity_field(sys: ParticleSystem, positions=None):
-    """Velocities of all particles (zero rows for the fixed ones)."""
-    pos = sys.positions if positions is None else positions
-    _collision_check(sys, pos)
-    field = np.zeros_like(pos)
-    for i in sys.mobile:
-        field[i] = _velocity(sys, pos, i)
-    return field
+    return velocity_field(sys)[i]
 
 
 def step(sys: ParticleSystem, dt, scheme="rk4"):
@@ -151,9 +129,3 @@ def run_trajectory(sys: ParticleSystem, steps, dt, scheme="rk4", stride=1, objec
         if i % stride == 0 or i == steps:
             snapshot(i, state)
     return state, records
-
-
-def write_jsonl(records, path):
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")

@@ -360,24 +360,6 @@ class TabulatedPotential:
             return float(out[0])
         return out.reshape(shape)
 
-    def deriv(self, r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        shape = r_arr.shape
-        r_flat = r_arr.ravel()
-        out = np.zeros_like(r_flat)
-        r_lo, r_hi = self.r_grid[1], self.r_grid[-1]
-        hi = r_flat > r_hi
-        mid = (r_flat >= r_lo) & ~hi
-        if mid.any():
-            rm = r_flat[mid]
-            y, dy = self._interp(np.log(rm))
-            out[mid] = np.exp(y) * dy / rm
-        if hi.any():
-            out[hi] = self.radial.phi_deriv(r_flat[hi]) / self.z
-        if np.ndim(r) == 0:
-            return float(out[0])
-        return out.reshape(shape)
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self):

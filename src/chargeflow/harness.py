@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .descent import DescentConfig, RandomBallInit, node_wise_descent
 from .errors import DivergedLoss
@@ -242,20 +243,11 @@ def rows_to_csv(rows):
 
 
 def match_to_target(theta, a, target: TargetNetwork):
-    """Min-total-distance assignment of learned nodes to fixed ones, brute
-    force over permutations (k <= 8)."""
-    k = target.k
-    if k > 8:
-        raise ValueError("brute-force matching is for k <= 8")
+    """Min-total-distance assignment of learned nodes to fixed ones."""
     diff = theta[:, None, :] - target.w[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    best_perm, best_cost = None, np.inf
-    for perm in itertools.permutations(range(k)):
-        cost = sum(dist[i, perm[i]] for i in range(k))
-        if cost < best_cost:
-            best_perm, best_cost = perm, cost
-    perm = np.array(best_perm)
-    max_dist = float(max(dist[i, perm[i]] for i in range(k)))
+    rows, perm = linear_sum_assignment(dist)
+    max_dist = float(np.max(dist[rows, perm]))
     max_charge = float(np.max(np.abs(a + target.b[perm])))
     return perm, max_dist, max_charge
 

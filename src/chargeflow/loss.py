@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonDifferentiablePoint, SingularDiagonal
-from .potentials import SPHERE, Potential
-
-_COLLISION_GUARD = 1e-10
+from .errors import DimensionMismatch, NonDifferentiablePoint
+from .potentials import _COLLISION_GUARD, SPHERE, Potential
 
 
 @dataclass(frozen=True)
@@ -72,37 +70,6 @@ class Hypothesis:
         return self.theta.shape[1]
 
 
-def _offdiag_kernel_matrix(pot, pts):
-    """Kernel matrix over one point set with the diagonal zeroed.
-
-    The diagonal is handled separately through pot.diagonal(); zero separation
-    off the diagonal is the caller's collision problem.
-    """
-    if pot.manifold == SPHERE:
-        m = np.asarray(pot.phi_rho(np.clip(pts @ pts.T, -1.0, 1.0)), dtype=float)
-        np.fill_diagonal(m, 0.0)
-        return m
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    off = ~np.eye(len(pts), dtype=bool)
-    if pot.raw_singular and np.any(dist[off] < _COLLISION_GUARD):
-        raise SingularDiagonal(f"{pot.name}: coincident points at a singular kernel")
-    np.fill_diagonal(dist, 1.0)
-    m = np.asarray(pot.phi_r(dist), dtype=float)
-    np.fill_diagonal(m, 0.0)
-    return m
-
-
-def _cross_kernel_matrix(pot, pts_a, pts_b):
-    if pot.manifold == SPHERE:
-        return np.asarray(pot.phi_rho(np.clip(pts_a @ pts_b.T, -1.0, 1.0)), dtype=float)
-    diff = pts_a[:, None, :] - pts_b[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    if pot.raw_singular and np.any(dist < _COLLISION_GUARD):
-        raise SingularDiagonal(f"{pot.name}: electron sits on a fixed charge")
-    return np.asarray(pot.phi_r(dist), dtype=float)
-
-
 class Objective:
     """Loss evaluator bound to a kernel and a target network.
 
@@ -120,17 +87,12 @@ class Objective:
             norms = np.linalg.norm(target.w, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-12):
                 raise DimensionMismatch("sphere kernel requires unit target weights")
-        try:
-            diag = potential.diagonal()
-            self._bb_const = float(
-                target.b @ _offdiag_kernel_matrix(potential, target.w) @ target.b
-                + diag * float(target.b @ target.b)
-            )
-        except SingularDiagonal:
-            # infinite self-energy omitted; constant for fixed charges
-            self._bb_const = float(
-                target.b @ _offdiag_kernel_matrix(potential, target.w) @ target.b
-            )
+        # infinite self-energy is omitted (constant; see module docstring)
+        self._self_energy = potential.diagonal() if potential.finite_diagonal else 0.0
+        self._bb_const = float(
+            target.b @ potential.pairwise(target.w) @ target.b
+            + self._self_energy * float(target.b @ target.b)
+        )
 
     # -- basic blocks --------------------------------------------------------
 
@@ -140,7 +102,7 @@ class Objective:
 
     def cross_block(self, theta):
         """Kernel matrix between mobile points and the fixed ones."""
-        return _cross_kernel_matrix(self.potential, np.atleast_2d(theta), self.target.w)
+        return self.potential.pairwise(np.atleast_2d(theta), self.target.w)
 
     def baseline(self):
         """Loss of the all-zero hypothesis (the fixed-fixed block alone)."""
@@ -150,17 +112,10 @@ class Objective:
 
     def loss(self, hyp: Hypothesis):
         self._check(hyp)
-        pot = self.potential
-        gram_off = _offdiag_kernel_matrix(pot, hyp.theta)
-        cross = self.cross_block(hyp.theta)
-        try:
-            diag = pot.diagonal()
-        except SingularDiagonal:
-            diag = 0.0  # self-energy omitted (constant; see module docstring)
         val = (
-            hyp.a @ gram_off @ hyp.a
-            + diag * float(hyp.a @ hyp.a)
-            + 2.0 * hyp.a @ cross @ self.target.b
+            hyp.a @ self.potential.pairwise(hyp.theta) @ hyp.a
+            + self._self_energy * float(hyp.a @ hyp.a)
+            + 2.0 * hyp.a @ self.cross_block(hyp.theta) @ self.target.b
             + self._bb_const
         )
         if self.regularization == "charge":
@@ -170,19 +125,7 @@ class Objective:
     def grad(self, hyp: Hypothesis):
         """Analytic gradient (d/da, d/dtheta); sphere gradients are projected
         to the tangent spaces."""
-        self._check(hyp)
-        pot = self.potential
-        gram_off = _offdiag_kernel_matrix(pot, hyp.theta)
-        cross = self.cross_block(hyp.theta)
-        try:
-            diag = pot.diagonal()
-        except SingularDiagonal:
-            diag = 0.0
-        ga = 2.0 * (gram_off @ hyp.a + diag * hyp.a + cross @ self.target.b)
-        if self.regularization == "charge":
-            ga = ga + 2.0 * hyp.a
-        gt = self._theta_grad(hyp)
-        return ga, gt
+        return self.loss_and_grad(hyp)[1:]
 
     def loss_and_grad(self, hyp: Hypothesis):
         """Fused value and analytic gradient sharing the kernel blocks."""
@@ -190,23 +133,24 @@ class Objective:
         pot = self.potential
         if hyp.k == 1 and pot.manifold != SPHERE:
             return self._loss_and_grad_single(hyp)
-        gram_off = _offdiag_kernel_matrix(pot, hyp.theta)
-        cross = self.cross_block(hyp.theta)
-        try:
-            diag = pot.diagonal()
-        except SingularDiagonal:
-            diag = 0.0
-        ga_core = gram_off @ hyp.a + diag * hyp.a + cross @ self.target.b
-        val = float(hyp.a @ ga_core + hyp.a @ cross @ self.target.b + self._bb_const)
+        a, b = hyp.a, self.target.b
+        gram_off, g_ee = pot.pairwise_grad(hyp.theta)
+        cross, g_ew = pot.pairwise_grad(hyp.theta, self.target.w)
+        ga_core = gram_off @ a + self._self_energy * a + cross @ b
+        val = float(a @ ga_core + a @ cross @ b + self._bb_const)
         ga = 2.0 * ga_core
         if self.regularization == "charge":
-            val += float(hyp.a @ hyp.a)
-            ga = ga + 2.0 * hyp.a
-        return val, ga, self._theta_grad(hyp)
+            val += float(a @ a)
+            ga = ga + 2.0 * a
+        gt = 2.0 * a[:, None] * (np.einsum("ijd,j->id", g_ee, a) + np.einsum("ijd,j->id", g_ew, b))
+        return val, ga, pot.tangent(hyp.theta, gt)
 
     def _loss_and_grad_single(self, hyp: Hypothesis):
         """One mobile node against the fixed charges: a single fused kernel
-        pass over the k separations (the restricted-objective hot loop)."""
+        pass over the k separations (the restricted-objective hot loop).
+        It keeps its own arithmetic beside the pair core: at k=1 it takes
+        about a third of the time of the block path, and recovery's iteration
+        counts depend on its exact rounding."""
         pot = self.potential
         theta = hyp.theta[0]
         a = float(hyp.a[0])
@@ -218,7 +162,7 @@ class Objective:
             )
         phi, dphi = pot.phi_and_dphi(dist)
         s = float(phi @ self.target.b)
-        diag = pot.diagonal()
+        diag = self._self_energy
         val = a * a * diag + 2.0 * a * s + self._bb_const
         ga = 2.0 * (a * diag + s)
         if self.regularization == "charge":
@@ -230,47 +174,13 @@ class Objective:
         gt = (2.0 * a) * ((fac * self.target.b) @ diff)
         return val, np.array([ga]), gt[None, :]
 
-    def _theta_grad(self, hyp: Hypothesis):
-        pot = self.potential
-        theta, a = hyp.theta, hyp.a
-        w, b = self.target.w, self.target.b
-        if pot.manifold == SPHERE:
-            rho_ee = np.clip(theta @ theta.T, -1.0, 1.0)
-            rho_ew = np.clip(theta @ w.T, -1.0, 1.0)
-            if np.max(np.abs(np.concatenate([rho_ee[~np.eye(hyp.k, dtype=bool)].ravel(), rho_ew.ravel()]))) > 1.0 - 1e-12:
-                raise NonDifferentiablePoint("inner product at a kernel kink")
-            dee = np.asarray(pot.dphi_rho(rho_ee), dtype=float)
-            np.fill_diagonal(dee, 0.0)
-            dew = np.asarray(pot.dphi_rho(rho_ew), dtype=float)
-            gt = (dee * a[None, :]) @ theta + (dew * b[None, :]) @ w
-            gt = 2.0 * a[:, None] * gt
-            gt -= np.sum(gt * theta, axis=1, keepdims=True) * theta
-            return gt
-        diff_ee = theta[:, None, :] - theta[None, :, :]
-        dist_ee = np.sqrt(np.sum(diff_ee * diff_ee, axis=-1))
-        diff_ew = theta[:, None, :] - w[None, :, :]
-        dist_ew = np.sqrt(np.sum(diff_ew * diff_ew, axis=-1))
-        off = ~np.eye(hyp.k, dtype=bool)
-        min_sep = min(
-            float(np.min(dist_ee[off])) if hyp.k > 1 else np.inf, float(np.min(dist_ew))
-        )
-        if min_sep < _COLLISION_GUARD and not pot.smooth_origin:
-            raise NonDifferentiablePoint(
-                f"{pot.name}: zero separation at a kernel kink/singularity"
-            )
-        np.fill_diagonal(dist_ee, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fac_ee = np.asarray(pot.dphi_r(dist_ee), dtype=float) / dist_ee
-            fac_ew = np.asarray(pot.dphi_r(dist_ew), dtype=float) / dist_ew
-        np.fill_diagonal(fac_ee, 0.0)
-        if pot.smooth_origin:
-            fac_ew = np.where(dist_ew < _COLLISION_GUARD, 0.0, fac_ew)
-            fac_ee = np.where(dist_ee < _COLLISION_GUARD, 0.0, fac_ee)
-        gt = np.einsum("ij,j,ijd->id", fac_ee, a, diff_ee)
-        gt += np.einsum("ij,j,ijd->id", fac_ew, b, diff_ew)
-        return 2.0 * a[:, None] * gt
-
     # -- quadratic structure in the outer weights -----------------------------
+
+    def outer_curvature(self):
+        """Coefficient of a_i^2 in the loss: the self-energy plus the charge
+        penalty. Raises SingularDiagonal for infinite-diagonal kernels, whose
+        quadratic in the outer weights is undefined."""
+        return self.potential.diagonal() + (1.0 if self.regularization == "charge" else 0.0)
 
     def optimal_outer_weight(self, theta1):
         """Single-node optimum of the quadratic in a_1 and the loss change it buys.
@@ -279,12 +189,8 @@ class Objective:
         change -S^2/2, where S = sum_j b_j K(theta1, w_j). The change is the
         signed difference against a_1 = 0 (negative when the loss improves).
         """
-        diag = self.potential.diagonal()
+        quad = self.outer_curvature()
         s = float((self.cross_block(theta1) @ self.target.b).ravel()[0])
-        if self.regularization == "charge":
-            quad = diag + 1.0
-        else:
-            quad = diag
         a_star = -s / quad
         change = -s * s / quad
         return a_star, change
@@ -296,10 +202,7 @@ class Objective:
         the Gram system is singular or ill-conditioned.
         """
         theta = np.atleast_2d(theta)
-        diag = self.potential.diagonal()
-        g = _offdiag_kernel_matrix(self.potential, theta) + diag * np.eye(len(theta))
-        if self.regularization == "charge":
-            g = g + np.eye(len(theta))
+        g = self.potential.pairwise(theta) + self.outer_curvature() * np.eye(len(theta))
         rhs = -self.cross_block(theta) @ self.target.b
         try:
             a = np.linalg.solve(g, rhs)
@@ -430,16 +333,3 @@ def theta_laplacian(obj: Objective, hyp: Hypothesis, i, h=1e-4):
             acc += obj.loss(Hypothesis(theta=t, a=hyp.a))
         acc -= 2.0 * f0
     return acc / (h * h)
-
-
-# spec-surface aliases
-def loss(obj: Objective, hyp: Hypothesis):
-    return obj.loss(hyp)
-
-
-def grad(obj: Objective, hyp: Hypothesis):
-    return obj.grad(hyp)
-
-
-def optimal_outer_weight(obj: Objective, theta1):
-    return obj.optimal_outer_weight(theta1)

@@ -11,11 +11,16 @@ from chargeflow.dynamics import (
     step,
     system_from_objective,
     velocity_field,
-    write_jsonl,
 )
 from chargeflow.errors import CollisionSingularity, FixedParticle
+from chargeflow.harness import write_jsonl
 from chargeflow.loss import Hypothesis, Objective, TargetNetwork
-from chargeflow.potentials import AlmostHarmonicPotential, GaussianPotential
+from chargeflow.potentials import (
+    AlmostHarmonicPotential,
+    GaussianPotential,
+    PolynomialPotential,
+    SignPotential,
+)
 
 
 def gaussian_system(positions, charges, fixed=()):
@@ -129,6 +134,20 @@ class TestGradientFlowEquivalence:
             flow = gradient_flow_field(obj, hyp)
             particles = velocity_field(system_from_objective(obj, hyp))[:3]
             assert np.max(np.abs(flow - particles)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["sign", "poly"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_sphere_field_equivalence(self, kind, k):
+        rng = np.random.default_rng(60 + k)
+        pot = SignPotential() if kind == "sign" else PolynomialPotential(3)
+        pts = rng.standard_normal((k + 3, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        obj = Objective(pot, TargetNetwork(w=pts[k:], b=rng.uniform(-1, 1, 3)))
+        hyp = Hypothesis(theta=pts[:k], a=rng.uniform(-1, 1, k))
+        particles = velocity_field(system_from_objective(obj, hyp))
+        assert np.max(np.abs(gradient_flow_field(obj, hyp) - particles[:k])) <= 1e-12
+        np.testing.assert_allclose(np.sum(particles[:k] * hyp.theta, axis=1), 0.0, atol=1e-15)
+        assert not np.any(particles[k:])
 
     def test_matched_minimum_is_stationary(self):
         w = np.zeros((1, 3))

@@ -143,7 +143,7 @@ class TestConstruction:
     def test_constant_extension_below_grid(self, almost_table):
         tiny = almost_table.r_grid[1] / 4.0
         assert almost_table.value(tiny) == almost_table.values[0]
-        assert almost_table.deriv(tiny) == 0.0
+        assert almost_table.value_and_deriv(tiny)[1] == 0.0
 
     def test_analytic_tail_beyond_grid(self, almost_table):
         r = almost_table.grid_spec.r_max + 4.0
@@ -154,7 +154,7 @@ class TestConstruction:
         probe = np.linspace(0.25, 4.0, 100)
         h = 1e-6
         fd = (almost_table.value(probe + h) - almost_table.value(probe - h)) / (2 * h)
-        np.testing.assert_allclose(almost_table.deriv(probe), fd, atol=1e-8)
+        np.testing.assert_allclose(almost_table.value_and_deriv(probe)[1], fd, atol=1e-8)
 
     def test_matching_radius_is_knot(self, almost_table):
         assert np.any(almost_table.r_grid == almost_table.eps)
@@ -181,7 +181,9 @@ class TestSerializationAndCache:
         again = TabulatedPotential.load(path)
         probe = np.linspace(0.0, 6.0, 50)
         np.testing.assert_array_equal(again.value(probe), almost_table.value(probe))
-        np.testing.assert_array_equal(again.deriv(probe), almost_table.deriv(probe))
+        np.testing.assert_array_equal(
+            again.value_and_deriv(probe)[1], almost_table.value_and_deriv(probe)[1]
+        )
         assert again.z == almost_table.z
 
     def test_cache_key_sensitivity(self):

@@ -125,10 +125,19 @@ class TestMatching:
         assert perm.tolist() == [1, 2, 0]
         assert max_dist == pytest.approx(0.1, abs=1e-12)
 
-    def test_k_guard(self):
-        tgt = TargetNetwork(w=np.zeros((9, 2)), b=np.ones(9))
-        with pytest.raises(ValueError):
-            match_to_target(np.zeros((9, 2)), np.ones(9), tgt)
+    def test_known_assignment_beyond_brute_force_range(self):
+        # k = 12 targets 10 apart, learned nodes = a known relabelling of them
+        # plus noise well below half the separation
+        rng = np.random.default_rng(21)
+        w = 10.0 * np.arange(12.0)[:, None] * np.array([[1.0, 0.0, 0.0]])
+        tgt = TargetNetwork(w=w, b=rng.uniform(-1, 1, 12))
+        truth = rng.permutation(12)
+        theta = w[truth] + rng.uniform(-0.5, 0.5, (12, 3))
+        a = -tgt.b[truth] + rng.uniform(-0.01, 0.01, 12)
+        perm, max_dist, max_charge = match_to_target(theta, a, tgt)
+        assert perm.tolist() == truth.tolist()
+        assert max_dist == pytest.approx(np.max(np.linalg.norm(theta - w[truth], axis=1)), abs=1e-12)
+        assert max_charge == pytest.approx(np.max(np.abs(a + tgt.b[truth])), abs=1e-15)
 
 
 class TestRecovery:

@@ -18,6 +18,7 @@ from chargeflow.potentials import (
     ExpLambdaHarmonicPotential,
     GaussianPotential,
     HermiteDualPotential,
+    LogPotential,
     PolynomialPotential,
     SignPotential,
 )
@@ -151,6 +152,40 @@ class TestGradient:
         obj = Objective(pot, TargetNetwork(w=w, b=[1.0]))
         with pytest.raises(NonDifferentiablePoint):
             obj.grad(Hypothesis(theta=w.copy(), a=[-1.0]))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_sign_kernel_gradient(self, k):
+        # the sign kernel is differentiable away from rho = +/-1; compare with
+        # central differences of the loss, projected to the tangent spaces
+        rng = np.random.default_rng(40 + k)
+        w = rng.standard_normal((3, 4))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        obj = Objective(SignPotential(), TargetNetwork(w=w, b=rng.uniform(-1, 1, 3)))
+        vec = VectorObjective(obj, k, 4)
+        for _ in range(5):
+            th = rng.standard_normal((k, 4))
+            th /= np.linalg.norm(th, axis=1, keepdims=True)
+            x = vec.pack(Hypothesis(theta=th, a=rng.uniform(-1, 1, k)))
+            g_fd = fd_gradient(vec.value, x)
+            gt_fd = g_fd[k:].reshape(k, 4)
+            g_fd[k:] = (gt_fd - np.sum(gt_fd * th, axis=1, keepdims=True) * th).ravel()
+            g = vec.grad(x)
+            assert np.max(np.abs(g - g_fd)) / max(1.0, float(np.max(np.abs(g)))) <= 1e-5
+
+    @pytest.mark.parametrize("kind", ["coulomb", "log"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_fused_matches_separate_infinite_diagonal(self, kind, k):
+        # the self-energy is omitted for these kernels on every path
+        rng = np.random.default_rng(50 + k)
+        pot, d = (CoulombPotential(3), 3) if kind == "coulomb" else (LogPotential(), 2)
+        pts = separated_points(rng, k + 3, d, scale=2.0, min_sep=0.5)
+        obj = Objective(pot, TargetNetwork(w=pts[k:], b=rng.uniform(-1, 1, 3)))
+        hyp = Hypothesis(theta=pts[:k], a=rng.uniform(-1, 1, k))
+        val, ga, gt = obj.loss_and_grad(hyp)
+        assert val == pytest.approx(obj.loss(hyp), rel=1e-12, abs=1e-12)
+        ga2, gt2 = obj.grad(hyp)
+        np.testing.assert_array_equal(ga, ga2)
+        np.testing.assert_array_equal(gt, gt2)
 
     def test_fused_matches_separate(self):
         rng = np.random.default_rng(7)

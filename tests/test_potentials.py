@@ -33,6 +33,8 @@ from chargeflow.potentials import (
     realizability_certificate_radial,
 )
 
+from conftest import separated_points
+
 
 def unit(v):
     return v / np.linalg.norm(v)
@@ -234,6 +236,59 @@ class TestGramPositivity:
             gram = pot.pairwise(pts, pts)
             np.fill_diagonal(gram, pot.diagonal())
             assert np.linalg.eigvalsh(gram)[0] >= -1e-8
+
+
+class TestPairCore:
+    """pairwise/pairwise_grad against the scalar eval_potential path, with
+    central differences as the gradient oracle."""
+
+    IDS = ["gauss:c=0.7", "exp1d:lambda=1", "almost:eps=0.1,lambda=1,d=3",
+           "explh:lambda=1,d=3", "coulomb:d=3", "log", "sign", "poly:l=3", "hermite-dual"]
+
+    @staticmethod
+    def kernel(kind, table):
+        if kind == "hermite-dual":
+            return HermiteDualPotential([0.2, 1.0, 0.4])
+        return parse_potential(kind, table_loader=lambda d, eps, lam: table)
+
+    @staticmethod
+    def fd_grad(pot, x, y, h=1e-6):
+        """Central differences of eval_potential in x; on the sphere along an
+        orthonormal tangent basis, moving x on the sphere."""
+        if pot.manifold == "sphere":
+            q, _ = np.linalg.qr(np.column_stack([x, np.eye(len(x))]))
+            basis = q[:, 1:].T
+            move = lambda t, e: unit(x + t * e)
+        else:
+            basis = np.eye(len(x))
+            move = lambda t, e: x + t * e
+        fd = np.array([(eval_potential(pot, move(h, e), y) - eval_potential(pot, move(-h, e), y)) / (2 * h)
+                       for e in basis])
+        return basis, fd
+
+    @pytest.mark.parametrize("kind", IDS)
+    def test_blocks_match_scalar_oracle(self, kind, almost_table):
+        pot = self.kernel(kind, almost_table)
+        rng = np.random.default_rng(31)
+        d = getattr(pot, "d", 3)
+        if pot.manifold == "sphere":
+            pts = rng.standard_normal((7, d))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        else:
+            pts = separated_points(rng, 7, d, scale=2.0, min_sep=0.5)
+        x, y = pts[:3], pts[3:]
+        for block_y, self_pairs in ((y, False), (x, True)):
+            k, g = pot.pairwise_grad(x, None if self_pairs else y)
+            np.testing.assert_array_equal(pot.pairwise(x, None if self_pairs else y), k)
+            assert g.shape == (len(x), len(block_y), d)
+            for i in range(len(x)):
+                for j in range(len(block_y)):
+                    if self_pairs and i == j:
+                        assert k[i, j] == 0.0 and not np.any(g[i, j])
+                        continue
+                    assert k[i, j] == pytest.approx(eval_potential(pot, x[i], block_y[j]), rel=1e-12)
+                    basis, fd = self.fd_grad(pot, x[i], block_y[j])
+                    np.testing.assert_allclose(basis @ g[i, j], fd, rtol=1e-6, atol=1e-8)
 
 
 class TestRealizabilityCertificate:

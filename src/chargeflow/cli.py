@@ -17,7 +17,7 @@ from . import dynamics as dyn
 from . import harness, landscape
 from .errors import ChargeflowError
 from .loss import Hypothesis, Objective, TargetNetwork
-from .potentials import SPHERE, eval_potential, parse_potential
+from .potentials import SPHERE, eval_potential, min_separation, parse_potential
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
@@ -183,10 +183,7 @@ def _verify_verdicts(seed=0):
     def separated(k, d, scale=3.0, min_sep=1.0):
         while True:
             pts = rng.standard_normal((2 * k, d)) * scale
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() >= min_sep:
+            if min_separation(pts) >= min_sep:
                 return pts[:k], pts[k:]
 
     from .potentials import CoulombPotential, GaussianPotential, LogPotential

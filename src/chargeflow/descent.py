@@ -2,8 +2,9 @@
 combination with an early stop, and the sequential node-by-node driver.
 
 All algorithms operate on objects exposing ``value(x)`` and ``grad(x)`` over a
-flat coordinate vector (``hess(x)`` and ``project(x)`` are picked up when
-present, with finite-difference and identity fallbacks). Runs are
+flat coordinate vector (``value_and_grad(x)``, ``hess(x)`` and ``project(x)``
+are picked up when present; the Hessian falls back to central differences of
+the analytic gradient, the projection to the identity). Runs are
 deterministic: the only randomness is the seeded ball sampling in node
 initialization.
 """
@@ -121,15 +122,14 @@ class StationaritySet:
 
 
 class FunctionObjective:
-    """Wrap plain callables for the descent drivers; missing derivatives fall
-    back to central finite differences."""
+    """Wrap plain callables for the descent drivers; a missing gradient falls
+    back to central differences of the value, a missing Hessian to central
+    differences of the gradient."""
 
-    def __init__(self, f, grad=None, hess=None, grad_step=None, hess_step=1e-4):
+    def __init__(self, f, grad=None, hess=None):
         self._f = f
         self._grad = grad
         self._hess = hess
-        self._grad_step = grad_step
-        self._hess_step = hess_step
 
     def value(self, x):
         return float(self._f(np.asarray(x, dtype=float)))
@@ -138,13 +138,13 @@ class FunctionObjective:
         x = np.asarray(x, dtype=float)
         if self._grad is not None:
             return np.asarray(self._grad(x), dtype=float)
-        return fd_gradient(self._f, x, self._grad_step)
+        return fd_gradient(self._f, x)
 
-    def hess(self, x, h=None):
+    def hess(self, x, h=1e-4):
         x = np.asarray(x, dtype=float)
         if self._hess is not None:
             return np.asarray(self._hess(x), dtype=float)
-        return fd_hessian(self._f, x, h or self._hess_step)
+        return fd_hessian(self.grad, x, h)
 
 
 def _project(objective, x, cfg):
@@ -161,39 +161,18 @@ def _hess_of(objective, x, cfg):
     hess = getattr(objective, "hess", None)
     if hess is not None:
         return hess(x, cfg.hessian_step)
-    return fd_hessian(objective.value, x, cfg.hessian_step)
+    return fd_hessian(objective.grad, x, cfg.hessian_step)
 
 
-def min_eigpair(h, tol=1e-8, max_iter=50_000):
-    """Smallest eigenvalue and unit eigenvector of a symmetric matrix.
-
-    Dense solve up to dimension 256; beyond that, power iteration on the
-    Gershgorin-shifted matrix with a deterministic start vector.
-    """
+def min_eigpair(h):
+    """Smallest eigenvalue and unit eigenvector of a symmetric matrix (dense
+    ``eigh``), typically a Hessian from central differences of the analytic
+    gradient. Non-finite entries raise EigenSolveFailure."""
     h = np.asarray(h, dtype=float)
-    n = h.shape[0]
     if not np.all(np.isfinite(h)):
         raise EigenSolveFailure("Hessian has non-finite entries")
-    if n <= 256:
-        vals, vecs = np.linalg.eigh(h)
-        return float(vals[0]), vecs[:, 0]
-    shift = float(np.max(np.sum(np.abs(h), axis=1)))
-    m = shift * np.eye(n) - h
-    v = np.ones(n) + 1e-3 * np.arange(n)  # deterministic start
-    v /= np.linalg.norm(v)
-    lam_prev = np.inf
-    for _ in range(max_iter):
-        w = m @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return float(shift), v  # h = shift*I on this subspace
-        v = w / norm
-        lam = float(v @ h @ v)
-        residual = np.linalg.norm(h @ v - lam * v)
-        if residual <= tol and abs(lam - lam_prev) <= tol:
-            return lam, v
-        lam_prev = lam
-    raise EigenSolveFailure(f"power iteration stalled (last residual {residual:g})")
+    vals, vecs = np.linalg.eigh(h)
+    return float(vals[0]), vecs[:, 0]
 
 
 def gd(objective, x0, cfg: DescentConfig):
@@ -247,19 +226,23 @@ def hessian_descent_step(objective, x, cfg: DescentConfig):
     return x + beta * v_min, lam_min
 
 
+def _value_and_grad(objective, x):
+    fused = getattr(objective, "value_and_grad", None)
+    if fused is not None:
+        return fused(x)
+    return objective.value(x), objective.grad(x)
+
+
 def second_gd(objective, x0, cfg: DescentConfig):
     """Gradient steps while the gradient is large, one negative-curvature step
     otherwise; stop and return the PREVIOUS iterate as soon as an iteration
     fails to decrease the objective by min(alpha eta^2/2, alpha^2 gamma^3/2).
+    A kernel kink or solver failure at a new iterate ends the run at the
+    previous one, recorded on the report.
     """
     x_prev = np.asarray(x0, dtype=float).copy()
     report = DescentReport()
-    fused = getattr(objective, "value_and_grad", None)
-    if fused is not None:
-        v_prev, g = fused(x_prev)
-    else:
-        v_prev = objective.value(x_prev)
-        g = objective.grad(x_prev)
+    v_prev, g = _value_and_grad(objective, x_prev)
     threshold = cfg.min_decrease()
     for it in range(1, cfg.T + 1):
         gnorm = float(np.linalg.norm(g))
@@ -272,11 +255,7 @@ def second_gd(objective, x0, cfg: DescentConfig):
                 branch = "hessian"
                 x_new, lam_min = hessian_descent_step(objective, x_prev, cfg)
                 x_new = _project(objective, x_new, cfg)
-            if fused is not None:
-                v_new, g_new = fused(x_new)
-            else:
-                v_new = objective.value(x_new)
-                g_new = None
+            v_new, g_new = _value_and_grad(objective, x_new)
         except ChargeflowError as exc:
             report.termination = "error"
             report.error = str(exc)
@@ -301,18 +280,7 @@ def second_gd(objective, x0, cfg: DescentConfig):
             report.final_x = x_prev
             report.final_value = v_prev
             return report
-        x_prev, v_prev = x_new, v_new
-        if g_new is not None:
-            g = g_new
-        else:
-            try:
-                g = objective.grad(x_prev)
-            except ChargeflowError as exc:
-                report.termination = "error"
-                report.error = str(exc)
-                report.final_x = x_prev
-                report.final_value = v_prev
-                return report
+        x_prev, v_prev, g = x_new, v_new, g_new
     report.termination = "max_iters"
     report.final_x = x_prev
     report.final_value = v_prev
@@ -416,7 +384,7 @@ def node_wise_descent(obj: Objective, policy, cfg: DescentConfig, k=None):
         if cfg.alpha_scale == "init-charge":
             scale = max(a0 * a0, cfg.alpha_floor)
             node_cfg = replace(cfg, alpha=min(1.0, cfg.alpha / scale), alpha_scale="fixed")
-        vec = VectorObjective(sub, 1, d, hessian_step=cfg.hessian_step)
+        vec = VectorObjective(sub, 1, d)
         x0 = np.concatenate([[a0], th0])
         rep = second_gd(vec, x0, node_cfg)
         hyp = vec.unpack(rep.final_x)

@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 from .descent import DescentConfig, RandomBallInit, node_wise_descent
 from .errors import DivergedLoss
 from .loss import Objective, TargetNetwork
-from .potentials import parse_potential
+from .potentials import min_separation, parse_potential
 
 SCHEMA_VERSION = 1
 
@@ -149,12 +149,7 @@ def generate_separated_target(d, k, seed, separation, scale=None):
     while True:
         w = rng.standard_normal((k, d)) * std
         b = rng.uniform(-1.0, 1.0, k)
-        if k == 1:
-            return TargetNetwork(w=w, b=b)
-        diff = w[:, None, :] - w[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() >= separation:
+        if min_separation(w) >= separation:
             return TargetNetwork(w=w, b=b)
 
 

@@ -27,6 +27,7 @@ from .potentials import (
     ExpLambdaHarmonicPotential,
     LogPotential,
     SignPotential,
+    min_separation,
 )
 
 _R_MIN = 1e-3
@@ -70,16 +71,6 @@ def _digest(**config):
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _min_separation(points_a, points_b=None):
-    a = np.atleast_2d(points_a)
-    b = a if points_b is None else np.atleast_2d(points_b)
-    diff = a[:, None, :] - b[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    if points_b is None:
-        np.fill_diagonal(dist, np.inf)
-    return float(np.min(dist))
-
-
 def earnshaw_trace_check(potential, target: TargetNetwork, hyp: Hypothesis, i, tol=1e-4, h=5e-4):
     """Trace of the theta_i Hessian block; vanishes for harmonic kernels.
 
@@ -87,7 +78,7 @@ def earnshaw_trace_check(potential, target: TargetNetwork, hyp: Hypothesis, i, t
     running a non-harmonic kernel marks the verdict expected-fail so the
     control case documents that the test discriminates.
     """
-    if min(_min_separation(hyp.theta), _min_separation(hyp.theta, target.w)) < _R_MIN:
+    if min(min_separation(hyp.theta), min_separation(hyp.theta, target.w)) < _R_MIN:
         raise TooCloseToSingularity(f"pairwise distance below {_R_MIN}")
     d = target.d
     harmonic_kernel = (
@@ -117,26 +108,15 @@ def eigstrict_laplacian_check(lam, target: TargetNetwork, theta, tol=1e-3, h=1e-
     charges)^2 exactly.
     """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    if _min_separation(theta) < 1e-10:
+    if min_separation(theta) < 1e-10:
         raise DegenerateCluster("coincident mobile nodes")
-    if _min_separation(theta, target.w) < _R_MIN:
+    if min_separation(theta, target.w) < _R_MIN:
         raise TooCloseToSingularity("mobile node too close to a fixed charge")
     pot = ExpLambdaHarmonicPotential(lam=lam, d=d)
     obj = Objective(pot, target)
     a = obj.solve_optimal_a(theta)
     predicted = -2.0 * lam * float(a[0]) ** 2
-
-    def shifted_loss(v):
-        moved = theta.copy()
-        moved[0] = theta[0] + v
-        return obj.loss(Hypothesis(theta=moved, a=a))
-
-    f0 = shifted_loss(np.zeros(d))
-    measured = 0.0
-    for m in range(d):
-        e = np.zeros(d)
-        e[m] = h
-        measured += (shifted_loss(e) - 2.0 * f0 + shifted_loss(-e)) / (h * h)
+    measured = theta_laplacian(obj, Hypothesis(theta=theta, a=a), 0, h=h)
     err = abs(measured - predicted)
     passed = err <= tol * max(abs(predicted), 1e-6)
     return LandscapeVerdict(

@@ -242,7 +242,6 @@ class VectorObjective:
     objective: Objective
     k: int
     d: int
-    hessian_step: float = 1e-4
 
     def pack(self, hyp: Hypothesis):
         return np.concatenate([hyp.a, hyp.theta.ravel()])
@@ -265,8 +264,8 @@ class VectorObjective:
         val, ga, gt = self.objective.loss_and_grad(self.unpack(x))
         return val, np.concatenate([ga, gt.ravel()])
 
-    def hess(self, x, h=None):
-        return fd_hessian(self.value, x, h or self.hessian_step)
+    def hess(self, x, h=1e-4):
+        return fd_hessian(self.grad, x, h)
 
     def project(self, x):
         if self.objective.potential.manifold != SPHERE:
@@ -291,30 +290,20 @@ def fd_gradient(f, x, h=None):
     return g
 
 
-def fd_hessian(f, x, h=1e-4):
-    """Symmetric central-difference Hessian, symmetrized as (H + H^T)/2."""
+def fd_hessian(grad, x, h=1e-4):
+    """Hessian from central differences of the analytic gradient,
+    J[i] = (grad(x + h e_i) - grad(x - h e_i)) / 2h, symmetrized as
+    (J + J^T)/2. With tangent-projected sphere gradients this is the
+    Riemannian Hessian on tangent directions."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    hess = np.zeros((n, n))
-    f0 = f(x)
-    basis = np.eye(n) * h
-    for i in range(n):
-        hess[i, i] = (f(x + 2 * basis[i]) - 2 * f0 + f(x - 2 * basis[i])) / (4.0 * h * h)
-        for j in range(i + 1, n):
-            pij = (
-                f(x + basis[i] + basis[j])
-                - f(x + basis[i] - basis[j])
-                - f(x - basis[i] + basis[j])
-                + f(x - basis[i] - basis[j])
-            ) / (4.0 * h * h)
-            hess[i, j] = pij
-            hess[j, i] = pij
-    return 0.5 * (hess + hess.T)
+    jac = np.array([grad(x + e) - grad(x - e) for e in np.eye(x.size) * h]) / (2.0 * h)
+    return 0.5 * (jac + jac.T)
 
 
 def hessian(obj: Objective, hyp: Hypothesis, h=1e-4):
-    """Finite-difference Hessian of the loss over the packed (a, theta) vector."""
-    vec = VectorObjective(obj, hyp.k, hyp.d, hessian_step=h)
+    """Hessian of the loss over the packed (a, theta) vector, from central
+    differences of the analytic gradient."""
+    vec = VectorObjective(obj, hyp.k, hyp.d)
     return vec.hess(vec.pack(hyp), h)
 
 

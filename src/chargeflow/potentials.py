@@ -463,6 +463,18 @@ class BesselK1RadialActivation(Activation):
         return np.exp(self.log_eval(x, weight))
 
 
+def min_separation(x, y=None):
+    """Smallest distance between a row of x and a row of y; with ``y`` None,
+    between distinct rows of x (inf for a single row)."""
+    x = np.atleast_2d(x)
+    ys = x if y is None else np.atleast_2d(y)
+    diff = x[:, None, :] - ys[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    if y is None:
+        np.fill_diagonal(dist, np.inf)
+    return float(np.min(dist))
+
+
 # ---------------------------------------------------------------------------
 # kernel evaluation with contract checks
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from chargeflow.descent import (
     second_gd,
     stationarity_check,
 )
-from chargeflow.errors import InitializationFailed
+from chargeflow.errors import EigenSolveFailure, InitializationFailed
 from chargeflow.loss import Objective, TargetNetwork, VectorObjective
 from chargeflow.potentials import GaussianPotential
 
@@ -195,16 +195,22 @@ class TestMinEigpair:
         assert lam == -5.0
         assert abs(v[1]) == pytest.approx(1.0)
 
-    def test_power_iteration_path(self):
+    def test_beyond_former_dense_cutoff(self):
         rng = np.random.default_rng(4)
-        n = 300  # beyond the dense cutoff
+        n = 300
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         vals = np.concatenate([[-2.0], np.linspace(-1.0, 5.0, n - 1)])
         m = (q * vals) @ q.T
         m = 0.5 * (m + m.T)
-        lam, v = min_eigpair(m, tol=1e-8)
+        lam, v = min_eigpair(m)
         assert lam == pytest.approx(-2.0, abs=1e-7)
         assert np.linalg.norm(m @ v - lam * v) <= 1e-7
+
+    def test_non_finite_entry_raises(self):
+        m = np.eye(3)
+        m[1, 2] = m[2, 1] = np.nan
+        with pytest.raises(EigenSolveFailure):
+            min_eigpair(m)
 
 
 class TestStationarity:

@@ -21,6 +21,7 @@ from chargeflow.potentials import (
     LogPotential,
     PolynomialPotential,
     SignPotential,
+    parse_potential,
 )
 
 from conftest import separated_points
@@ -260,9 +261,8 @@ class TestHessian:
         rng = np.random.default_rng(12)
         m = rng.standard_normal((4, 4))
         m = m + m.T
-        f = lambda x: 0.5 * float(x @ m @ x)
         x0 = rng.standard_normal(4)
-        np.testing.assert_allclose(fd_hessian(f, x0, 1e-4), m, atol=1e-6)
+        np.testing.assert_allclose(fd_hessian(lambda x: m @ x, x0, 1e-4), m, atol=1e-6)
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)
@@ -270,6 +270,40 @@ class TestHessian:
         hyp = Hypothesis(theta=rng.standard_normal((2, 3)), a=rng.uniform(-1, 1, 2))
         h = hessian(obj, hyp, h=1e-4)
         np.testing.assert_array_equal(h, h.T)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["gauss:c=0.7", "exp1d:lambda=1", "almost:eps=0.1,lambda=1,d=3", "coulomb:d=3",
+         "log", "explh:lambda=1,d=3", "poly:l=3", "sign"],
+    )
+    def test_quadratic_form_matches_second_difference_of_loss(self, kind, almost_table):
+        # v^T H v against the second difference of the loss value along a
+        # straight line, or on the sphere along a geodesic of each hidden
+        # vector, where the tangent-gradient Jacobian is the Riemannian Hessian
+        pot = parse_potential(kind, table_loader=lambda d, eps, lam: almost_table)
+        sphere = pot.manifold == "sphere"
+        rng = np.random.default_rng(61)
+        k, d, h = 2, getattr(pot, "d", 3), 1e-4
+        if sphere:
+            pts = rng.standard_normal((k + 3, d))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        else:
+            pts = separated_points(rng, k + 3, d, scale=2.0, min_sep=0.5)
+        obj = Objective(pot, TargetNetwork(w=pts[k:], b=rng.uniform(-1, 1, 3)))
+        theta, a = pts[:k], rng.uniform(-1, 1, k)
+        hess = hessian(obj, Hypothesis(theta=theta, a=a), h=h)
+        for _ in range(5):
+            va, vt = rng.standard_normal(k), rng.standard_normal((k, d))
+            if sphere:
+                vt -= np.sum(vt * theta, axis=1, keepdims=True) * theta
+                speed = np.linalg.norm(vt, axis=1, keepdims=True)
+                move = lambda t: np.cos(t * speed) * theta + np.sin(t * speed) * vt / speed
+            else:
+                move = lambda t: theta + t * vt
+            path = lambda t: obj.loss(Hypothesis(theta=move(t), a=a + t * va))
+            second = (path(h) - 2.0 * path(0.0) + path(-h)) / (h * h)
+            v = np.concatenate([va, vt.ravel()])
+            assert abs(v @ hess @ v - second) <= 1e-6 * max(1.0, abs(second))
 
 
 class TestThetaLaplacian:

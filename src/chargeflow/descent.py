@@ -1,11 +1,12 @@
 """Descent algorithms: plain gradient steps, negative-curvature steps, their
 combination with an early stop, and the sequential node-by-node driver.
 
-All algorithms operate on objects exposing ``value(x)`` and ``grad(x)`` over a
-flat coordinate vector (``value_and_grad(x)``, ``hess(x)`` and ``project(x)``
-are picked up when present; the Hessian falls back to central differences of
-the analytic gradient, the projection to the identity). Runs are
-deterministic: the only randomness is the seeded ball sampling in node
+All algorithms operate on objectives over a flat coordinate vector with five
+methods: ``value(x)``, ``grad(x)``, ``value_and_grad(x)``, ``hess(x, h)``
+(``h`` is the central-difference step, ``DescentConfig.hessian_step``) and
+``project(x)`` (the retraction onto the objective's manifold).
+``loss.VectorObjective`` and ``FunctionObjective`` implement all five. Runs
+are deterministic: the only randomness is the seeded ball sampling in node
 initialization.
 """
 
@@ -26,7 +27,6 @@ class DescentConfig:
     alpha: float = 0.1
     eta: float = 1e-3
     gamma: float = 1e-2
-    projection: str = "none"  # "none" | "unit-sphere"
     hessian_step: float = 1e-4
     seed: int = 0
     trace_stride: int = 1
@@ -39,6 +39,8 @@ class DescentConfig:
     def __post_init__(self):
         if self.T < 1 or self.alpha <= 0 or self.eta <= 0 or self.gamma <= 0:
             raise ValueError("need T >= 1 and positive alpha, eta, gamma")
+        if self.trace_stride < 1:
+            raise ValueError(f"trace_stride must be >= 1, got {self.trace_stride}")
         if self.alpha_scale not in ("fixed", "init-charge"):
             raise ValueError(f"unknown alpha_scale {self.alpha_scale!r}")
 
@@ -122,9 +124,9 @@ class StationaritySet:
 
 
 class FunctionObjective:
-    """Wrap plain callables for the descent drivers; a missing gradient falls
-    back to central differences of the value, a missing Hessian to central
-    differences of the gradient."""
+    """Wrap plain callables as a Euclidean descent objective; a missing
+    gradient falls back to central differences of the value, a missing
+    Hessian to central differences of the gradient."""
 
     def __init__(self, f, grad=None, hess=None):
         self._f = f
@@ -140,28 +142,17 @@ class FunctionObjective:
             return np.asarray(self._grad(x), dtype=float)
         return fd_gradient(self._f, x)
 
+    def value_and_grad(self, x):
+        return self.value(x), self.grad(x)
+
     def hess(self, x, h=1e-4):
         x = np.asarray(x, dtype=float)
         if self._hess is not None:
             return np.asarray(self._hess(x), dtype=float)
         return fd_hessian(self.grad, x, h)
 
-
-def _project(objective, x, cfg):
-    if cfg.projection == "none":
+    def project(self, x):
         return x
-    proj = getattr(objective, "project", None)
-    if proj is not None:
-        return proj(x)
-    n = np.linalg.norm(x)
-    return x if n == 0 else x / n
-
-
-def _hess_of(objective, x, cfg):
-    hess = getattr(objective, "hess", None)
-    if hess is not None:
-        return hess(x, cfg.hessian_step)
-    return fd_hessian(objective.grad, x, cfg.hessian_step)
 
 
 def min_eigpair(h):
@@ -176,7 +167,7 @@ def min_eigpair(h):
 
 
 def gd(objective, x0, cfg: DescentConfig):
-    """Plain gradient descent: T steps of x <- Pi(x - alpha * grad).
+    """Plain gradient descent: T steps of x <- project(x - alpha * grad).
 
     A kernel kink or solver failure mid-trajectory truncates the run and is
     recorded on the report instead of propagating."""
@@ -186,7 +177,7 @@ def gd(objective, x0, cfg: DescentConfig):
     for it in range(1, cfg.T + 1):
         try:
             g = objective.grad(x)
-            x_new = _project(objective, x - cfg.alpha * g, cfg)
+            x_new = objective.project(x - cfg.alpha * g)
             new_value = objective.value(x_new)
         except ChargeflowError as exc:
             report.termination = "error"
@@ -217,20 +208,13 @@ def hessian_descent_step(objective, x, cfg: DescentConfig):
 
     Returns (new point, lambda_min)."""
     x = np.asarray(x, dtype=float)
-    lam_min, v_min = min_eigpair(_hess_of(objective, x, cfg))
+    lam_min, v_min = min_eigpair(objective.hess(x, cfg.hessian_step))
     g = objective.grad(x)
     s = float(np.sign(g @ v_min))
     if s == 0.0:
         s = 1.0
     beta = -cfg.alpha * abs(lam_min) * s
     return x + beta * v_min, lam_min
-
-
-def _value_and_grad(objective, x):
-    fused = getattr(objective, "value_and_grad", None)
-    if fused is not None:
-        return fused(x)
-    return objective.value(x), objective.grad(x)
 
 
 def second_gd(objective, x0, cfg: DescentConfig):
@@ -242,7 +226,7 @@ def second_gd(objective, x0, cfg: DescentConfig):
     """
     x_prev = np.asarray(x0, dtype=float).copy()
     report = DescentReport()
-    v_prev, g = _value_and_grad(objective, x_prev)
+    v_prev, g = objective.value_and_grad(x_prev)
     threshold = cfg.min_decrease()
     for it in range(1, cfg.T + 1):
         gnorm = float(np.linalg.norm(g))
@@ -250,18 +234,16 @@ def second_gd(objective, x0, cfg: DescentConfig):
         try:
             if gnorm >= cfg.eta:
                 branch = "grad"
-                x_new = _project(objective, x_prev - cfg.alpha * g, cfg)
+                x_new = x_prev - cfg.alpha * g
             else:
                 branch = "hessian"
                 x_new, lam_min = hessian_descent_step(objective, x_prev, cfg)
-                x_new = _project(objective, x_new, cfg)
-            v_new, g_new = _value_and_grad(objective, x_new)
+            x_new = objective.project(x_new)
+            v_new, g_new = objective.value_and_grad(x_new)
         except ChargeflowError as exc:
             report.termination = "error"
             report.error = str(exc)
-            report.final_x = x_prev
-            report.final_value = v_prev
-            return report
+            break
         decrease = v_prev - v_new
         report.iterations = it
         if it % cfg.trace_stride == 0 or v_new >= v_prev - threshold or it == cfg.T:
@@ -277,11 +259,8 @@ def second_gd(objective, x0, cfg: DescentConfig):
             )
         if v_new >= v_prev - threshold:
             report.termination = "early_stop"
-            report.final_x = x_prev
-            report.final_value = v_prev
-            return report
+            break
         x_prev, v_prev, g = x_new, v_new, g_new
-    report.termination = "max_iters"
     report.final_x = x_prev
     report.final_value = v_prev
     return report
@@ -292,7 +271,7 @@ def stationarity_check(objective, x, eps, cfg: DescentConfig | None = None):
     cfg = cfg or DescentConfig()
     x = np.asarray(x, dtype=float)
     g = objective.grad(x)
-    lam_min, _ = min_eigpair(_hess_of(objective, x, cfg))
+    lam_min, _ = min_eigpair(objective.hess(x, cfg.hessian_step))
     return StationaritySet(
         point=x, eps=eps, grad_norm=float(np.linalg.norm(g)), lambda_min=lam_min
     )

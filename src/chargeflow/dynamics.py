@@ -107,6 +107,8 @@ def run_trajectory(sys: ParticleSystem, steps, dt, scheme="rk4", stride=1, objec
     loss is attached when an objective is supplied (the first ``hypothesis_k``
     particles are read back as the mobile nodes).
     """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     records = []
 
     def snapshot(idx, state):

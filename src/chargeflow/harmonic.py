@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -64,31 +64,42 @@ def _shift_poly(coeffs, m, s):
 # ---------------------------------------------------------------------------
 
 
-def simpson_refine(f, a, b, tol=1e-10, n0=64, max_doublings=16):
-    """Composite Simpson on [a, b], doubling the panel count until two
-    successive estimates agree within ``tol`` (absolute, componentwise).
+def _simpson_nodes(a, b, n):
+    """Nodes and composite-Simpson weights for n (even) panels on [a, b]."""
+    x = np.linspace(a, b, n + 1)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return x, w * (b - a) / (3.0 * n)
+
+
+def _simpson_doubling(f, a, b, tol, n0, max_doublings):
+    """Composite Simpson on [a, b], doubling the panel count from ``n0`` until
+    two successive estimates agree within ``tol`` (absolute, componentwise).
 
     ``f`` maps a node array of shape (n,) to values of shape (..., n).
-    Returns the refined estimate; raises QuadratureNotConverged otherwise.
+    Returns (estimate, previous estimate, panel count of the estimate);
+    raises QuadratureNotConverged otherwise.
     """
     n = n0
     prev = None
     for _ in range(max_doublings):
-        x = np.linspace(a, b, n + 1)
-        y = np.asarray(f(x), dtype=float)
-        h = (b - a) / n
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        est = (h / 3.0) * (y @ w)
+        x, w = _simpson_nodes(a, b, n)
+        est = np.asarray(f(x), dtype=float) @ w
         if prev is not None and np.max(np.abs(est - prev)) <= tol:
-            # Richardson correction: Simpson error shrinks 16x per halving.
-            return est + (est - prev) / 15.0
+            return est, prev, n
         prev = est
         n *= 2
     raise QuadratureNotConverged(
         f"Simpson on [{a}, {b}] did not reach tol={tol} within {max_doublings} doublings"
     )
+
+
+def simpson_refine(f, a, b, tol=1e-10, n0=64, max_doublings=16):
+    """:func:`_simpson_doubling` plus the Richardson correction (the Simpson
+    error shrinks 16x per halving); returns the refined estimate."""
+    est, prev, _ = _simpson_doubling(f, a, b, tol, n0, max_doublings)
+    return est + (est - prev) / 15.0
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +125,7 @@ class LambdaHarmonicRadial:
 
     def phi_deriv(self, r):
         r = np.asarray(r, dtype=float)
-        q = _shift_poly(self.coeffs, self.d - 2, self.s)
-        return -_poly_eval(q, r) * np.exp(-self.s * r) / r ** (self.d - 1)
+        return -_poly_eval(self.nth_deriv_poly(1), r) * np.exp(-self.s * r) / r ** (self.d - 1)
 
     def nth_deriv_poly(self, n):
         """Coefficients q_n with phi^(n)(r) = (-1)^n q_n(r) e^{-s r} / r^{d-2+n}."""
@@ -268,8 +278,6 @@ class TabulatedPotential:
     p_coeffs: np.ndarray
     grid_spec: GridSpec
     version: int = SCHEMA_VERSION
-    _x: np.ndarray = field(default=None, repr=False, compare=False)
-    _c: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.r_grid[1:]
@@ -286,8 +294,10 @@ class TabulatedPotential:
             # shape-preserving slopes
             dydx = PchipInterpolator(x, y).derivative()(x)
             coeffs = self._hermite_coeffs(x, y, dydx)
+        # derived lookup state, kept out of the dataclass fields
         self._x = x
         self._c = coeffs
+        self._tail = LambdaHarmonicRadial(d=self.d, lam=self.lam, coeffs=self.p_coeffs)
 
     @staticmethod
     def _hermite_coeffs(x, y, m):
@@ -300,65 +310,51 @@ class TabulatedPotential:
         c3 = (m[:-1] + m[1:] - 2.0 * dy) / (h * h)
         return np.stack([c0, c1, c2, c3])
 
-    def _interp(self, x):
+    # -- evaluation --------------------------------------------------------
+
+    def _interp(self, x, deriv):
+        """Log-log cubic at log-radii ``x``: (y, dy/dx), dy only when ``deriv``."""
         idx = self._x.searchsorted(x, side="right") - 1
         idx = np.minimum(idx, self._x.size - 2)
         t = x - self._x[idx]
         c0, c1, c2, c3 = self._c[:, idx]
         y = ((c3 * t + c2) * t + c1) * t + c0
-        dy = (3.0 * c3 * t + 2.0 * c2) * t + c1
+        dy = (3.0 * c3 * t + 2.0 * c2) * t + c1 if deriv else None
         return y, dy
 
-    def value_and_deriv(self, r):
-        """(value, d value / d r) in one interpolation pass."""
+    def _evaluate(self, r, deriv):
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         shape = r_arr.shape
         r_flat = r_arr.ravel()
         val = np.empty_like(r_flat)
-        der = np.zeros_like(r_flat)
+        der = np.zeros_like(r_flat) if deriv else None
         r_lo, r_hi = self.r_grid[1], self.r_grid[-1]
         lo = r_flat < r_lo
         hi = r_flat > r_hi
         mid = ~lo & ~hi
-        if lo.any():
-            val[lo] = self.values[0]
+        val[lo] = self.values[0]
         if mid.any():
-            rm = r_flat[mid]
-            y, dy = self._interp(np.log(rm))
+            # _interp frees its coefficient gathers before exp (bulk peak memory)
+            y, dy = self._interp(np.log(r_flat[mid]), deriv)
             v = np.exp(y)
             val[mid] = v
-            der[mid] = v * dy / rm
+            if deriv:
+                der[mid] = v * dy / r_flat[mid]
         if hi.any():
-            val[hi] = self.radial.phi(r_flat[hi]) / self.z
-            der[hi] = self.radial.phi_deriv(r_flat[hi]) / self.z
+            val[hi] = self._tail.phi(r_flat[hi]) / self.z
+            if deriv:
+                der[hi] = self._tail.phi_deriv(r_flat[hi]) / self.z
         if np.ndim(r) == 0:
-            return float(val[0]), float(der[0])
-        return val.reshape(shape), der.reshape(shape)
-
-    # -- evaluation --------------------------------------------------------
-
-    @property
-    def radial(self):
-        return LambdaHarmonicRadial(d=self.d, lam=self.lam, coeffs=self.p_coeffs)
+            return float(val[0]), (float(der[0]) if deriv else None)
+        return val.reshape(shape), (der.reshape(shape) if deriv else None)
 
     def value(self, r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        shape = r_arr.shape
-        r_flat = r_arr.ravel()
-        out = np.empty_like(r_flat)
-        r_lo, r_hi = self.r_grid[1], self.r_grid[-1]
-        lo = r_flat < r_lo
-        hi = r_flat > r_hi
-        mid = ~lo & ~hi
-        out[lo] = self.values[0]
-        if mid.any():
-            y, _ = self._interp(np.log(r_flat[mid]))
-            out[mid] = np.exp(y)
-        if hi.any():
-            out[hi] = self.radial.phi(r_flat[hi]) / self.z
-        if np.ndim(r) == 0:
-            return float(out[0])
-        return out.reshape(shape)
+        """Normalized kernel value; a float for scalar ``r``, else ``r``'s shape."""
+        return self._evaluate(r, deriv=False)[0]
+
+    def value_and_deriv(self, r):
+        """(value, d value / d r) in one interpolation pass."""
+        return self._evaluate(r, deriv=True)
 
     # -- serialization -----------------------------------------------------
 
@@ -399,14 +395,6 @@ class TabulatedPotential:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _simpson_nodes(a, b, n):
-    x = np.linspace(a, b, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return x, w * (b - a) / (3.0 * n)
 
 
 def build_almost_harmonic(d, eps, lam=1.0, grid=None, tol=1e-10):
@@ -456,18 +444,7 @@ def build_almost_harmonic(d, eps, lam=1.0, grid=None, tol=1e-10):
         wx = weight(x) * x
         return np.stack([wx * _base_value(x, eps, 0.0), wx * _base_value(x, eps, eps)])
 
-    n = 512
-    prev = None
-    for _ in range(8):
-        u, wq = _simpson_nodes(u_lo, u_hi, n)
-        est = probe(u) @ wq
-        if prev is not None and np.max(np.abs(est - prev)) <= tol:
-            break
-        prev = est
-        n *= 2
-    else:
-        raise QuadratureNotConverged("construction integral did not converge")
-
+    _, _, n = _simpson_doubling(probe, u_lo, u_hi, tol, 512, 8)
     u, wq = _simpson_nodes(u_lo, u_hi, n)
     x = np.exp(u)
     wx = weight(x) * x

@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import time
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,14 +144,19 @@ def generate_target(d, depth, width, seed, flavor="empirical", scale=None):
 
 def generate_separated_target(d, k, seed, separation, scale=None):
     """Theory target resampled until the hidden vectors are pairwise at least
-    ``separation`` apart (hidden-weight std defaults to the separation)."""
+    ``separation`` apart (hidden-weight std defaults to the separation).
+    Raises ValueError when 100 000 draws all fall short."""
     std = np.sqrt(scale) if scale is not None else float(separation)
     rng = np.random.default_rng(seed)
-    while True:
+    for _ in range(100_000):
         w = rng.standard_normal((k, d)) * std
         b = rng.uniform(-1.0, 1.0, k)
         if min_separation(w) >= separation:
             return TargetNetwork(w=w, b=b)
+    raise ValueError(
+        f"100000 draws of {k} hidden vectors in d={d} at std {std:g} "
+        f"all fell short of separation {separation:g}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +308,14 @@ def recovery_experiment(config: ExperimentConfig, table_loader=None):
 # config files
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"depths", "widths", "seeds"}
-_INT_KEYS = {"d", "n_train", "n_test", "iters", "batch", "k", "trials", "descent_T", "steps", "stride", "trace_stride"}
-_FLOAT_KEYS = {"alpha", "separation", "scale", "radius_mult", "descent_alpha", "descent_eta", "descent_gamma", "dt"}
-_BOOL_KEYS = {"full_scale"}
+# the known keys and their value types are the ExperimentConfig annotations
+_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def parse_config_file(path):
     """One ``key = value`` per line; blank lines and # comments ignored.
-    List-valued keys take comma-separated integers."""
+    List-valued keys take comma-separated integers; a key that is not an
+    ExperimentConfig field raises ValueError."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -320,6 +325,8 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key not in _KEY_TYPES:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = _coerce(key, val)
     return out
 
@@ -334,17 +341,18 @@ def parse_seeds(val):
 
 
 def _coerce(key, val):
+    kind = _KEY_TYPES[key]
     if key == "seeds":
         return parse_seeds(val)
-    if key in _LIST_KEYS:
+    if kind is tuple:
         return tuple(int(v) for v in val.split(","))
-    if key in _INT_KEYS:
+    if kind is int:
         return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key in _BOOL_KEYS:
+    if kind is bool:
         return val.lower() in ("1", "true", "yes")
-    return val
+    if kind is str:
+        return val
+    return float(val)  # float, and scale's float | None
 
 
 def config_from(file_values: dict, overrides: dict):

@@ -75,9 +75,9 @@ def activation_from_potential_taylor(taylor_coeffs):
 class Potential:
     """Base similarity kernel.
 
-    Subclasses are either radial (implement ``phi_r``/``dphi_r`` of the
-    separation r) on Euclidean space, or rotational (implement
-    ``phi_rho``/``dphi_rho`` of the inner product) on the unit sphere.
+    Subclasses are either radial on Euclidean space (implement ``phi_r`` and
+    ``dphi_r``, or ``phi_and_dphi``, of the separation r) or rotational on the
+    unit sphere (implement ``phi_rho``/``dphi_rho`` of the inner product).
     """
 
     name = "potential"
@@ -292,9 +292,6 @@ class AlmostHarmonicPotential(Potential):
 
     def phi_r(self, r):
         return self.table.value(r)
-
-    def dphi_r(self, r):
-        return self.table.value_and_deriv(r)[1]
 
     def phi_and_dphi(self, r):
         return self.table.value_and_deriv(r)

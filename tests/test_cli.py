@@ -94,6 +94,25 @@ class TestDynamics:
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
+class TestBadInput:
+    def test_config_key_typo(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("depths = 2\nwidth = 5\n")
+        assert main(["table", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown key 'width'" in err
+
+    def test_zero_trace_stride(self, capsys):
+        argv = ["recovery", "--potential", "gauss:c=1", "--k", "1", "--seeds", "1", "--trace-stride", "0"]
+        assert main(argv) == 1
+        assert "error: trace_stride must be >= 1" in capsys.readouterr().err
+
+    def test_zero_dynamics_stride(self, capsys):
+        argv = ["dynamics", "--potential", "gauss:c=1", "--k", "1", "--steps", "2", "--stride", "0"]
+        assert main(argv) == 1
+        assert "error: stride must be >= 1" in capsys.readouterr().err
+
+
 class TestMisc:
     def test_potential_info(self, capsys):
         assert main(["potential-info", "--potential", "gauss:c=1"]) == 0

@@ -16,7 +16,7 @@ from chargeflow.descent import (
 )
 from chargeflow.errors import EigenSolveFailure, InitializationFailed
 from chargeflow.loss import Objective, TargetNetwork, VectorObjective
-from chargeflow.potentials import GaussianPotential
+from chargeflow.potentials import GaussianPotential, parse_potential
 
 
 def quadratic_objective(m, q=None):
@@ -50,14 +50,24 @@ class TestGD:
         rep = gd(vec, x0, DescentConfig(T=10, alpha=0.1))
         np.testing.assert_array_equal(rep.final_x, x0)
 
-    def test_sphere_projection_returns_unit(self):
-        obj = FunctionObjective(lambda x: float(x @ x), grad=lambda x: 2.0 * x)
-        rep = gd(
-            obj,
-            np.array([1.0, 0.0]),
-            DescentConfig(T=5, alpha=0.1, projection="unit-sphere"),
-        )
-        assert abs(np.linalg.norm(rep.final_x) - 1.0) <= 1e-15
+    @pytest.mark.parametrize("driver", [gd, second_gd])
+    def test_sphere_objective_stays_on_sphere(self, driver):
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((2, 3))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        obj = Objective(parse_potential("poly:l=3"), TargetNetwork(w=w, b=[0.9, -0.7]))
+        vec = VectorObjective(obj, 2, 3)
+        theta = rng.standard_normal((2, 3))
+        theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+        x0 = np.concatenate([[0.5, -0.5], theta.ravel()])
+        rep = driver(vec, x0, DescentConfig(T=4, alpha=0.1, eta=1e-8, gamma=1e-3))
+        assert rep.iterations == 4
+        norms = np.linalg.norm(vec.unpack(rep.final_x).theta, axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
+
+    def test_zero_trace_stride_rejected(self):
+        with pytest.raises(ValueError, match="trace_stride"):
+            DescentConfig(trace_stride=0)
 
 
 class TestHessianDescentStep:
@@ -118,18 +128,15 @@ class TestSecondGD:
     def test_kink_mid_trajectory_truncates_with_error(self):
         from chargeflow.errors import NonDifferentiablePoint
 
-        class Kinked:
-            def value(self, x):
-                return float(x @ x)
-
-            def grad(self, x):
-                if x[0] < 0.5:
-                    raise NonDifferentiablePoint("kink reached")
-                return 2.0 * x
+        def kinked_grad(x):
+            if x[0] < 0.5:
+                raise NonDifferentiablePoint("kink reached")
+            return 2.0 * x
 
         cfg = DescentConfig(T=50, alpha=0.2, eta=1e-6, gamma=1e-3)
         for driver in (gd, second_gd):
-            rep = driver(Kinked(), np.array([1.0, 0.0]), cfg)
+            obj = FunctionObjective(lambda x: float(x @ x), grad=kinked_grad)
+            rep = driver(obj, np.array([1.0, 0.0]), cfg)
             assert rep.termination == "error"
             assert "kink" in rep.error
             assert rep.final_x[0] >= 0.3  # last good iterate, not the bad one
@@ -291,11 +298,6 @@ class TestNodeWise:
         tgt = TargetNetwork(w=w, b=[0.8])
         obj = Objective(GaussianPotential(1.0), tgt)
 
-        class AtTarget:
-            pass
-
-        # use the ball policy with zero radius: theta = 0 is far, so instead
-        # run second_gd from the exact optimum via the public pieces
         vec = VectorObjective(obj, 1, 3)
         x0 = np.concatenate([[-0.8], w[0]])
         cfg = DescentConfig(T=50, alpha=0.05, eta=1e-6, gamma=1e-3)

@@ -150,6 +150,27 @@ class TestConstruction:
         expected = np.exp(-r) / r / almost_table.z
         assert almost_table.value(r) == pytest.approx(expected, rel=1e-12)
 
+    def test_value_is_value_and_deriv_value(self, almost_table):
+        # below r_grid[1], on every knot, at eps, at r_grid[-1] and beyond
+        tab = almost_table
+        rng = np.random.default_rng(3)
+        r = np.concatenate(
+            [
+                [0.0, tab.r_grid[1] / 2.0, tab.eps, tab.r_grid[-1], tab.r_grid[-1] + 1.0],
+                tab.r_grid,
+                np.exp(rng.uniform(np.log(tab.r_grid[1]), np.log(tab.r_grid[-1]), 5000)),
+                tab.r_grid[-1] + rng.uniform(0.0, 30.0, 500),
+            ]
+        )
+        for x in r[:5]:
+            value = tab.value(x)
+            assert type(value) is float
+            assert value == tab.value_and_deriv(x)[0]
+        grid = r[: 2 * (r.size // 2)].reshape(2, -1)
+        value = tab.value(grid)
+        assert value.shape == grid.shape
+        np.testing.assert_array_equal(value, tab.value_and_deriv(grid)[0])
+
     def test_interpolant_derivative_consistency(self, almost_table):
         probe = np.linspace(0.25, 4.0, 100)
         h = 1e-6

@@ -57,6 +57,11 @@ class TestGenerateTarget:
             np.fill_diagonal(dist, np.inf)
             assert dist.min() >= 10.0
 
+    def test_unreachable_separation_raises(self):
+        # std 1 in d=3 essentially never puts three points 10 apart
+        with pytest.raises(ValueError, match=r"std 1 .*separation 10"):
+            generate_separated_target(3, 3, 0, separation=10.0, scale=1.0)
+
 
 class TestSgdTrain:
     def test_zero_iterations_random_guess_band(self):
@@ -202,6 +207,12 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("this is not a key value pair\n")
         with pytest.raises(ValueError):
+            parse_config_file(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "typo.cfg"
+        path.write_text("d = 6\nwidth = 5\n")
+        with pytest.raises(ValueError, match=r"typo\.cfg:2: unknown key 'width'"):
             parse_config_file(path)
 
     def test_full_scale_resolution(self):

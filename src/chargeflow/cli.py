@@ -9,6 +9,7 @@ failure), potential-info (kernel properties).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -23,91 +24,76 @@ USAGE_EXIT = 2
 FAILURE_EXIT = 1
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key = value file; flags override it")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--seeds", help="seed list 'a,b,c', or a bare count N for seeds 0..N-1")
+# The ExperimentConfig keys each subcommand exposes, as --key-name flags
+# converted by the key's annotation; each subcommand also takes --config,
+# --out and --seeds.
+_KEYS = {
+    "table": ("depths", "widths", "d", "n_train", "n_test", "iters", "alpha", "batch", "full_scale"),
+    "recovery": (
+        "k", "potential", "separation", "trials", "radius_mult",
+        "descent_T", "descent_alpha", "descent_eta", "descent_gamma", "trace_stride",
+    ),
+    "dynamics": ("potential", "k", "d", "dt", "steps", "stride", "scheme"),
+}
+_COMMON_KEYS = ("out", "seeds")
+_COMMAND_HELP = {
+    "table": "depth/width training-error grid",
+    "recovery": "node-wise recovery experiment",
+    "dynamics": "integrate particle motion, export trajectory",
+}
+_FLAG_HELP = {
+    "out": "output path",
+    "seeds": "seed list 'a,b,c', or a bare count N for seeds 0..N-1",
+}
+_CHOICES = {"scheme": ("euler", "rk4")}
+
+
+def _converter(key):
+    """Flag converter for an ExperimentConfig key, named after its type so
+    that argparse reports e.g. "invalid int value"."""
+    convert = functools.partial(harness.coerce, key)
+    convert.__name__ = harness.KEY_TYPES[key].__name__
+    return convert
 
 
 def _build_parser():
     parser = argparse.ArgumentParser(prog="chargeflow")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("table", help="depth/width training-error grid")
-    _add_common(t)
-    t.add_argument("--depths", help="comma-separated depths")
-    t.add_argument("--widths", help="comma-separated widths")
-    t.add_argument("--d", type=int)
-    t.add_argument("--n-train", type=int, dest="n_train")
-    t.add_argument("--n-test", type=int, dest="n_test")
-    t.add_argument("--iters", type=int)
-    t.add_argument("--alpha", type=float)
-    t.add_argument("--batch", type=int)
-    t.add_argument("--full-scale", action="store_true", dest="full_scale", default=None)
-    t.add_argument("--workers", type=int, default=1)
-
-    r = sub.add_parser("recovery", help="node-wise recovery experiment")
-    _add_common(r)
-    r.add_argument("--k", type=int)
-    r.add_argument("--potential")
-    r.add_argument("--separation", type=float)
-    r.add_argument("--trials", type=int)
-    r.add_argument("--radius-mult", type=float, dest="radius_mult")
-    r.add_argument("--descent-T", type=int, dest="descent_T")
-    r.add_argument("--descent-alpha", type=float, dest="descent_alpha")
-    r.add_argument("--descent-eta", type=float, dest="descent_eta")
-    r.add_argument("--descent-gamma", type=float, dest="descent_gamma")
-    r.add_argument("--trace-stride", type=int, dest="trace_stride")
-
-    d = sub.add_parser("dynamics", help="integrate particle motion, export trajectory")
-    _add_common(d)
-    d.add_argument("--potential")
-    d.add_argument("--k", type=int)
-    d.add_argument("--d", type=int)
-    d.add_argument("--dt", type=float)
-    d.add_argument("--steps", type=int)
-    d.add_argument("--stride", type=int)
-    d.add_argument("--scheme", choices=("euler", "rk4"))
-    d.add_argument("--seed", type=int, help="single seed for the random configuration")
+    subs = {}
+    for command, keys in _KEYS.items():
+        p = subs[command] = sub.add_parser(command, help=_COMMAND_HELP[command])
+        p.add_argument("--config", help="key = value file; flags override it")
+        for key in _COMMON_KEYS + keys:
+            flag = "--" + key.replace("_", "-")
+            if harness.KEY_TYPES[key] is bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None)
+            else:
+                p.add_argument(
+                    flag, dest=key, type=_converter(key), choices=_CHOICES.get(key),
+                    help=_FLAG_HELP.get(key),
+                )
+    subs["table"].add_argument("--workers", type=int, default=1)
+    subs["dynamics"].add_argument("--seed", type=int, help="single seed for the random configuration")
 
     v = sub.add_parser("verify", help="run landscape checks")
-    _add_common(v)
-    v.add_argument(
-        "--check",
-        default="all",
-        choices=("all", "earnshaw", "eigstrict", "subharmonic", "sign-scan", "poly"),
-    )
+    v.add_argument("--out", help=_FLAG_HELP["out"])
+    v.add_argument("--seeds", help="seed of the check suite: the first entry of the list")
+    v.add_argument("--check", default="all", choices=("all", *_CHECK_PREFIX))
 
     i = sub.add_parser("potential-info", help="describe a kernel id")
     i.add_argument("--potential", required=True)
     return parser
 
 
-def _overrides(args, keys):
-    out = {}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is None:
-            continue
-        if key == "seeds" and isinstance(val, str):
-            val = harness.parse_seeds(val)  # bare N = seeds 0..N-1
-        elif key in ("depths", "widths") and isinstance(val, str):
-            val = tuple(int(x) for x in val.split(","))
-        out[key] = val
-    return out
-
-
-def _config(args, keys):
+def _config(args):
     file_values = harness.parse_config_file(args.config) if args.config else {}
     file_values.pop("experiment", None)
-    return harness.config_from(file_values, _overrides(args, keys))
+    flags = {key: getattr(args, key) for key in _COMMON_KEYS + _KEYS[args.command]}
+    return harness.config_from(file_values, flags)
 
 
 def cmd_table(args):
-    cfg = _config(
-        args,
-        ("depths", "widths", "seeds", "d", "n_train", "n_test", "iters", "alpha", "batch", "full_scale", "out"),
-    )
+    cfg = _config(args)
     rows = harness.run_table(cfg, workers=args.workers)
     text = harness.rows_to_csv(rows)
     if cfg.out:
@@ -125,14 +111,7 @@ def cmd_table(args):
 
 
 def cmd_recovery(args):
-    cfg = _config(
-        args,
-        (
-            "seeds", "k", "potential", "separation", "trials", "radius_mult",
-            "descent_T", "descent_alpha", "descent_eta", "descent_gamma",
-            "trace_stride", "out",
-        ),
-    )
+    cfg = _config(args)
     report = harness.recovery_experiment(cfg)
     if cfg.out:
         harness.write_jsonl(report["records"], cfg.out)
@@ -145,20 +124,16 @@ def cmd_recovery(args):
 
 
 def cmd_dynamics(args):
-    if getattr(args, "seed", None) is not None:
-        args.seeds = f"{args.seed},"
-    cfg = _config(
-        args, ("seeds", "k", "d", "potential", "dt", "steps", "stride", "scheme", "out")
-    )
+    if args.seed is not None:
+        args.seeds = (args.seed,)
+    cfg = _config(args)
     pot = parse_potential(cfg.potential)
-    d = getattr(pot, "d", None) or (cfg.d or 3)
+    d = getattr(pot, "d", None) or cfg.d
     seed = cfg.seeds[0]
     rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((2 * cfg.k, d))
     if pot.manifold == SPHERE:
-        pts = rng.standard_normal((2 * cfg.k, d))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    else:
-        pts = rng.standard_normal((2 * cfg.k, d))
     target = TargetNetwork(w=pts[cfg.k :], b=rng.uniform(-1.0, 1.0, cfg.k))
     hyp = Hypothesis(theta=pts[: cfg.k], a=rng.uniform(-1.0, 1.0, cfg.k))
     obj = Objective(pot, target)
@@ -188,16 +163,13 @@ def _verify_verdicts(seed=0):
 
     from .potentials import CoulombPotential, GaussianPotential, LogPotential
 
-    for trial in range(5):
-        theta, w = separated(3, 3)
-        target = TargetNetwork(w=w, b=rng.uniform(-1, 1, 3))
-        hyp = Hypothesis(theta=theta, a=rng.uniform(-1, 1, 3))
-        verdicts.append(landscape.earnshaw_trace_check(CoulombPotential(3), target, hyp, 0))
-    for trial in range(5):
-        theta, w = separated(2, 2)
-        target = TargetNetwork(w=w, b=rng.uniform(-1, 1, 2))
-        hyp = Hypothesis(theta=theta, a=rng.uniform(-1, 1, 2))
-        verdicts.append(landscape.earnshaw_trace_check(LogPotential(), target, hyp, 0))
+    # harmonic kernels: Coulomb with three charges in 3-D, log with two in 2-D
+    for pot, n in ((CoulombPotential(3), 3), (LogPotential(), 2)):
+        for trial in range(5):
+            theta, w = separated(n, n)
+            target = TargetNetwork(w=w, b=rng.uniform(-1, 1, n))
+            hyp = Hypothesis(theta=theta, a=rng.uniform(-1, 1, n))
+            verdicts.append(landscape.earnshaw_trace_check(pot, target, hyp, 0))
     # control: the non-harmonic kernel must fail the trace test
     target = TargetNetwork(w=np.array([[2.0, 0.0, 0.0]]), b=[1.0])
     hyp = Hypothesis(theta=np.zeros((1, 3)), a=[-1.0])
@@ -260,11 +232,9 @@ def cmd_verify(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    failures = 0
+    failures = sum(not v.ok for v in verdicts)
     for v in verdicts:
         status = "PASS" if v.passed else ("EXPECTED-FAIL" if v.expected_fail else "FAIL")
-        if not v.ok:
-            failures += 1
         print(f"{status:14s} {v.check} {v.note}")
     print(f"{len(verdicts)} checks, {failures} unexpected failures")
     return FAILURE_EXIT if failures else 0

@@ -13,7 +13,7 @@ initialization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -73,19 +73,10 @@ class DescentReport:
     def to_jsonl(self):
         lines = []
         for r in self.rows:
-            lines.append(
-                json.dumps(
-                    {
-                        "schema_version": 1,
-                        "iteration": r.iteration,
-                        "value": r.value,
-                        "grad_norm": r.grad_norm,
-                        "lambda_min": None if np.isnan(r.lambda_min) else r.lambda_min,
-                        "branch": r.branch,
-                        "decrease": r.decrease,
-                    }
-                )
-            )
+            row = {"schema_version": 1, **asdict(r)}
+            if np.isnan(r.lambda_min):
+                row["lambda_min"] = None
+            lines.append(json.dumps(row))
         lines.append(
             json.dumps(
                 {
@@ -295,6 +286,29 @@ class RandomBallInit:
     radius: float
     trials: int = 200
 
+    def __post_init__(self):
+        if self.trials < 1 or not self.radius > 0:
+            raise ValueError(
+                f"need trials >= 1 and radius > 0, got trials={self.trials}, radius={self.radius}"
+            )
+
+
+_TRIAL_CHUNK = 1 << 19
+
+
+def _best_trial(obj: Objective, rng, radius, m):
+    """Score m uniform samples from the radius ball by their optimal outer
+    weight; returns (a, theta, change) of the best. Only the copied best point
+    outlives the call, so one chunk's arrays are freed before the next."""
+    d = obj.target.d
+    direction = rng.standard_normal((m, d))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radii = radius * rng.uniform(size=m) ** (1.0 / d)
+    pts = direction * radii[:, None]
+    a, changes = obj.optimal_outer_weight(pts)
+    idx = int(np.argmin(changes))
+    return a[idx], pts[idx].copy(), float(changes[idx])
+
 
 def initialize_node(obj: Objective, policy, seed=0):
     """Initialize one mobile node on the (restricted) objective.
@@ -309,21 +323,12 @@ def initialize_node(obj: Objective, policy, seed=0):
         a, change = obj.optimal_outer_weight(theta)
     elif isinstance(policy, RandomBallInit):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-        quad = obj.outer_curvature()
         best = (None, None, np.inf)
-        remaining = policy.trials
-        while remaining > 0:
-            m = min(remaining, 1 << 19)
-            direction = rng.standard_normal((m, d))
-            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-            radius = policy.radius * rng.uniform(size=m) ** (1.0 / d)
-            pts = direction * radius[:, None]
-            s = obj.cross_block(pts) @ obj.target.b
-            changes = -s * s / quad
-            idx = int(np.argmin(changes))
-            if changes[idx] < best[2]:
-                best = (-s[idx] / quad, pts[idx], float(changes[idx]))
-            remaining -= m
+        for start in range(0, policy.trials, _TRIAL_CHUNK):
+            m = min(policy.trials - start, _TRIAL_CHUNK)
+            trial = _best_trial(obj, rng, policy.radius, m)
+            if trial[2] < best[2]:
+                best = trial
         a, theta, change = best
     else:
         raise ValueError(f"unknown initialization policy {policy!r}")

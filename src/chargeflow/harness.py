@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ValueError("counts must be positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.k < 1 or self.d < 1:
+            raise ValueError(f"need k >= 1 and d >= 1, got k={self.k}, d={self.d}")
 
     def resolved(self):
         if self.full_scale:
@@ -309,7 +311,7 @@ def recovery_experiment(config: ExperimentConfig, table_loader=None):
 # ---------------------------------------------------------------------------
 
 # the known keys and their value types are the ExperimentConfig annotations
-_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
+KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def parse_config_file(path):
@@ -325,9 +327,9 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _KEY_TYPES:
+            if key not in KEY_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _coerce(key, val)
+            out[key] = coerce(key, val)
     return out
 
 
@@ -340,8 +342,10 @@ def parse_seeds(val):
     return tuple(range(int(text)))
 
 
-def _coerce(key, val):
-    kind = _KEY_TYPES[key]
+def coerce(key, val):
+    """Value of an ExperimentConfig key from its text (a config-file value
+    or a command-line flag), converted by the key's annotation."""
+    kind = KEY_TYPES[key]
     if key == "seeds":
         return parse_seeds(val)
     if kind is tuple:

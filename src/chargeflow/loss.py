@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonDifferentiablePoint
+from .errors import DimensionMismatch, NonDifferentiablePoint, SingularDiagonal
 from .potentials import _COLLISION_GUARD, SPHERE, Potential
 
 
@@ -74,7 +74,8 @@ class Objective:
     """Loss evaluator bound to a kernel and a target network.
 
     ``regularization`` is "none" or "charge" (adds ||a||^2). The fixed-fixed
-    kernel block is computed once at construction.
+    kernel block and the coefficient of a_i^2 (the self-energy plus the charge
+    penalty) are resolved once at construction.
     """
 
     def __init__(self, potential: Potential, target: TargetNetwork, regularization="none"):
@@ -88,10 +89,11 @@ class Objective:
             if np.any(np.abs(norms - 1.0) > 1e-12):
                 raise DimensionMismatch("sphere kernel requires unit target weights")
         # infinite self-energy is omitted (constant; see module docstring)
-        self._self_energy = potential.diagonal() if potential.finite_diagonal else 0.0
+        self_energy = potential.diagonal() if potential.finite_diagonal else 0.0
+        self._quad = self_energy + (1.0 if regularization == "charge" else 0.0)
         self._bb_const = float(
             target.b @ potential.pairwise(target.w) @ target.b
-            + self._self_energy * float(target.b @ target.b)
+            + self_energy * float(target.b @ target.b)
         )
 
     # -- basic blocks --------------------------------------------------------
@@ -110,17 +112,17 @@ class Objective:
 
     # -- value / gradient ----------------------------------------------------
 
+    def _quadratic(self, a, gram_off, cross):
+        """The loss as a quadratic in the outer weights, from the off-diagonal
+        Gram block and the cross block: returns (value, half the a-gradient)."""
+        b = self.target.b
+        half_ga = gram_off @ a + self._quad * a + cross @ b
+        return float(a @ half_ga + a @ cross @ b + self._bb_const), half_ga
+
     def loss(self, hyp: Hypothesis):
         self._check(hyp)
-        val = (
-            hyp.a @ self.potential.pairwise(hyp.theta) @ hyp.a
-            + self._self_energy * float(hyp.a @ hyp.a)
-            + 2.0 * hyp.a @ self.cross_block(hyp.theta) @ self.target.b
-            + self._bb_const
-        )
-        if self.regularization == "charge":
-            val += float(hyp.a @ hyp.a)
-        return float(val)
+        gram_off = self.potential.pairwise(hyp.theta)
+        return self._quadratic(hyp.a, gram_off, self.cross_block(hyp.theta))[0]
 
     def grad(self, hyp: Hypothesis):
         """Analytic gradient (d/da, d/dtheta); sphere gradients are projected
@@ -136,14 +138,9 @@ class Objective:
         a, b = hyp.a, self.target.b
         gram_off, g_ee = pot.pairwise_grad(hyp.theta)
         cross, g_ew = pot.pairwise_grad(hyp.theta, self.target.w)
-        ga_core = gram_off @ a + self._self_energy * a + cross @ b
-        val = float(a @ ga_core + a @ cross @ b + self._bb_const)
-        ga = 2.0 * ga_core
-        if self.regularization == "charge":
-            val += float(a @ a)
-            ga = ga + 2.0 * a
+        val, half_ga = self._quadratic(a, gram_off, cross)
         gt = 2.0 * a[:, None] * (np.einsum("ijd,j->id", g_ee, a) + np.einsum("ijd,j->id", g_ew, b))
-        return val, ga, pot.tangent(hyp.theta, gt)
+        return val, 2.0 * half_ga, pot.tangent(hyp.theta, gt)
 
     def _loss_and_grad_single(self, hyp: Hypothesis):
         """One mobile node against the fixed charges: a single fused kernel
@@ -162,12 +159,8 @@ class Objective:
             )
         phi, dphi = pot.phi_and_dphi(dist)
         s = float(phi @ self.target.b)
-        diag = self._self_energy
-        val = a * a * diag + 2.0 * a * s + self._bb_const
-        ga = 2.0 * (a * diag + s)
-        if self.regularization == "charge":
-            val += a * a
-            ga += 2.0 * a
+        val = a * a * self._quad + 2.0 * a * s + self._bb_const
+        ga = 2.0 * (a * self._quad + s)
         # zero separation only reaches here for smooth kernels, where diff = 0
         # kills the term; the clamped denominator just avoids the 0/0
         fac = dphi / np.maximum(dist, _COLLISION_GUARD)
@@ -180,19 +173,24 @@ class Objective:
         """Coefficient of a_i^2 in the loss: the self-energy plus the charge
         penalty. Raises SingularDiagonal for infinite-diagonal kernels, whose
         quadratic in the outer weights is undefined."""
-        return self.potential.diagonal() + (1.0 if self.regularization == "charge" else 0.0)
+        if not self.potential.finite_diagonal:
+            raise SingularDiagonal(f"{self.potential.name} kernel diverges on the diagonal")
+        return self._quad
 
-    def optimal_outer_weight(self, theta1):
+    def optimal_outer_weight(self, theta):
         """Single-node optimum of the quadratic in a_1 and the loss change it buys.
 
         Unregularized: a* = -S, change -S^2; charge-regularized: a* = -S/2,
-        change -S^2/2, where S = sum_j b_j K(theta1, w_j). The change is the
+        change -S^2/2, where S = sum_j b_j K(theta, w_j). The change is the
         signed difference against a_1 = 0 (negative when the loss improves).
+        One point ``(d,)`` gives floats; a batch ``(m, d)`` gives arrays of
+        the m independent single-node optima.
         """
         quad = self.outer_curvature()
-        s = float((self.cross_block(theta1) @ self.target.b).ravel()[0])
-        a_star = -s / quad
-        change = -s * s / quad
+        s = self.cross_block(theta) @ self.target.b
+        a_star, change = -s / quad, -s * s / quad
+        if np.ndim(theta) == 1:
+            return float(a_star[0]), float(change[0])
         return a_star, change
 
     def solve_optimal_a(self, theta):

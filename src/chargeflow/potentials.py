@@ -360,7 +360,8 @@ class LogPotential(Potential):
 class Activation:
     """Pointwise activation sigma(x, weight). ``eval`` is vectorized over a
     sample batch of shape (n, d). Activations carrying an exp(|x|^2/4) factor
-    also provide ``log_eval`` so products can be formed without overflow."""
+    provide ``log_eval`` so products can be formed without overflow, and
+    ``eval`` is its exponential; the others override ``eval``."""
 
     name = "activation"
     manifold = EUCLIDEAN
@@ -368,6 +369,9 @@ class Activation:
 
     def __init__(self, d):
         self.d = int(d)
+
+    def eval(self, x, weight):
+        return np.exp(self.log_eval(x, weight))
 
 
 class SignActivation(Activation):
@@ -411,9 +415,6 @@ class GaussianActivation(Activation):
             - self.c * np.sum(diff * diff, axis=-1)
         )
 
-    def eval(self, x, weight):
-        return np.exp(self.log_eval(x, weight))
-
 
 class BesselK0Activation(Activation):
     """(2/pi)^{3/4} e^{x^2/4} K_0(|x - w|) in one dimension; kernel e^{-r}."""
@@ -429,9 +430,6 @@ class BesselK0Activation(Activation):
         sq = x[:, 0] * x[:, 0]
         # log K_0 via the exponentially scaled form to avoid underflow
         return 0.75 * np.log(2.0 / np.pi) + sq / 4.0 + np.log(k0e(r)) - r
-
-    def eval(self, x, weight):
-        return np.exp(self.log_eval(x, weight))
 
 
 class BesselK1RadialActivation(Activation):
@@ -455,9 +453,6 @@ class BesselK1RadialActivation(Activation):
         sq = np.sum(x * x, axis=-1)
         const = 0.75 * np.log(2.0 * np.pi) - 1.5 * np.log(np.pi)
         return const + sq / 4.0 + np.log(k1e(r)) - r - np.log(r)
-
-    def eval(self, x, weight):
-        return np.exp(self.log_eval(x, weight))
 
 
 def min_separation(x, y=None):

@@ -1,7 +1,11 @@
 import csv
 import json
 
+import pytest
+
+from chargeflow import cli
 from chargeflow.cli import main
+from chargeflow.harness import KEY_TYPES, ExperimentConfig
 
 
 class TestTable:
@@ -111,6 +115,56 @@ class TestBadInput:
         argv = ["dynamics", "--potential", "gauss:c=1", "--k", "1", "--steps", "2", "--stride", "0"]
         assert main(argv) == 1
         assert "error: stride must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["recovery", "--k", "1", "--trials", "0"], "error: need trials >= 1 and radius > 0"),
+            (["recovery", "--k", "1", "--radius-mult", "0"], "error: need trials >= 1 and radius > 0"),
+            (["recovery", "--k", "0"], "error: need k >= 1 and d >= 1"),
+            (["dynamics", "--k", "1", "--steps", "-1"], "error: steps must be >= 0, got -1"),
+            (["dynamics", "--k", "1", "--d", "0", "--steps", "2"], "error: need k >= 1 and d >= 1"),
+        ],
+    )
+    def test_bad_counts_fail_fast(self, argv, message, capsys):
+        assert main(argv + ["--potential", "gauss:c=1", "--seeds", "0,"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_bad_list_value_is_a_usage_error(self, capsys):
+        assert main(["table", "--depths", "2,x"]) == 2
+        assert "argument --depths: invalid tuple value: '2,x'" in capsys.readouterr().err
+
+    def test_bad_int_names_the_type(self, capsys):
+        assert main(["recovery", "--k", "abc"]) == 2
+        assert "argument --k: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_verify_takes_no_config(self, capsys):
+        assert main(["verify", "--config", "x"]) == 2
+
+
+# a value per key type for the flag/config-file equivalence below; each differs
+# from the ExperimentConfig default
+_SAMPLE_TEXT = {
+    "potential": "gauss:c=1", "scheme": "euler", "out": "x.out", "seeds": "4",
+    "depths": "2,3", "widths": "5,7", int: "3", float: "0.5", bool: "true",
+}
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [(command, key) for command, keys in cli._KEYS.items() for key in cli._COMMON_KEYS + keys],
+)
+def test_flag_matches_config_line(command, key, tmp_path):
+    kind = KEY_TYPES[key]
+    text = _SAMPLE_TEXT.get(key) or _SAMPLE_TEXT[kind]
+    flag = "--" + key.replace("_", "-")
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"{key} = {text}\n")
+    parser = cli._build_parser()
+    from_flag = cli._config(parser.parse_args([command, flag] if kind is bool else [command, flag, text]))
+    from_file = cli._config(parser.parse_args([command, "--config", str(path)]))
+    assert from_flag == from_file
+    assert getattr(from_flag, key) != getattr(ExperimentConfig(), key)
 
 
 class TestMisc:

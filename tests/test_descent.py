@@ -3,7 +3,9 @@ import pytest
 
 from chargeflow.descent import (
     DescentConfig,
+    DescentReport,
     FunctionObjective,
+    IterationRecord,
     OriginInit,
     RandomBallInit,
     gd,
@@ -153,6 +155,21 @@ class TestSecondGD:
         assert r1.to_jsonl() == r2.to_jsonl()
         np.testing.assert_array_equal(r1.final_x, r2.final_x)
 
+    def test_to_jsonl_text(self):
+        rows = [
+            IterationRecord(1, np.float64(1.5), 2.0, float("nan"), "grad", 0.25),
+            IterationRecord(2, 1.25, 1e-08, -0.5, "hessian", np.float64(0.25)),
+        ]
+        rep = DescentReport(rows=rows, termination="early_stop", final_value=1.25, iterations=2)
+        assert rep.to_jsonl() == (
+            '{"schema_version": 1, "iteration": 1, "value": 1.5, "grad_norm": 2.0, '
+            '"lambda_min": null, "branch": "grad", "decrease": 0.25}\n'
+            '{"schema_version": 1, "iteration": 2, "value": 1.25, "grad_norm": 1e-08, '
+            '"lambda_min": -0.5, "branch": "hessian", "decrease": 0.25}\n'
+            '{"schema_version": 1, "termination": "early_stop", "iterations": 2, '
+            '"final_value": 1.25, "error": ""}'
+        )
+
 
 class TestDecreaseGuarantees:
     def test_gradient_branch_on_quadratics(self):
@@ -288,6 +305,19 @@ class TestInitializeNode:
         second = initialize_node(obj, p, seed=3)
         assert first[0] == second[0]
         np.testing.assert_array_equal(first[1], second[1])
+
+    def test_best_point_is_a_copy(self):
+        # the returned point must not pin its whole 2^19-trial chunk
+        rng = np.random.default_rng(8)
+        tgt = TargetNetwork(w=rng.standard_normal((2, 3)), b=[0.5, -0.5])
+        obj = Objective(GaussianPotential(1.0), tgt)
+        _, theta, _ = initialize_node(obj, RandomBallInit(3.0, trials=100), seed=0)
+        assert theta.shape == (3,) and theta.base is None
+
+    @pytest.mark.parametrize("radius,trials", [(1.0, 0), (1.0, -5), (0.0, 10), (-1.0, 10)])
+    def test_bad_policy_rejected(self, radius, trials):
+        with pytest.raises(ValueError, match="need trials >= 1 and radius > 0"):
+            RandomBallInit(radius, trials=trials)
 
 
 class TestNodeWise:

@@ -211,3 +211,8 @@ class TestTrajectoryExport:
         parsed = [json.loads(line) for line in open(path)]
         assert parsed[0]["schema_version"] == 1
         assert len(parsed) == 5
+
+    def test_negative_steps_rejected(self):
+        sys_ = gaussian_system([[0.0, 0.0, 0.0]], [1.0])
+        with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
+            run_trajectory(sys_, steps=-1, dt=1e-3)

@@ -226,3 +226,8 @@ class TestConfigFile:
             ExperimentConfig(seeds=())
         with pytest.raises(ValueError):
             ExperimentConfig(n_train=0)
+
+    @pytest.mark.parametrize("field", ["k", "d"])
+    def test_nonpositive_k_and_d_rejected(self, field):
+        with pytest.raises(ValueError, match="need k >= 1 and d >= 1"):
+            ExperimentConfig(**{field: 0})

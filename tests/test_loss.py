@@ -188,6 +188,15 @@ class TestGradient:
         np.testing.assert_array_equal(ga, ga2)
         np.testing.assert_array_equal(gt, gt2)
 
+    @pytest.mark.parametrize("reg", ["none", "charge"])
+    def test_loss_is_the_fused_value(self, reg):
+        # one assembly of the outer-weight quadratic serves both
+        rng = np.random.default_rng(14)
+        obj = rand_objective(rng, reg=reg)
+        for k in (2, 3, 5):
+            hyp = Hypothesis(theta=rng.standard_normal((k, 3)), a=rng.uniform(-1, 1, k))
+            assert obj.loss(hyp) == obj.loss_and_grad(hyp)[0]
+
     def test_fused_matches_separate(self):
         rng = np.random.default_rng(7)
         obj = rand_objective(rng, reg="charge")
@@ -226,6 +235,34 @@ class TestOptimalOuterWeight:
         a, _ = obj.optimal_outer_weight(np.zeros(3))
         hyp = Hypothesis(theta=np.zeros((1, 3)), a=[a])
         assert obj.loss(hyp) - obj.baseline() == pytest.approx(change, abs=1e-12)
+
+    @pytest.mark.parametrize("reg", ["none", "charge"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_batch_equals_per_point_calls(self, k, reg):
+        rng = np.random.default_rng(12)
+        obj = rand_objective(rng, k=k, reg=reg)
+        pts = rng.standard_normal((64, 3)) * 2.0
+        a, change = obj.optimal_outer_weight(pts)
+        assert a.shape == change.shape == (64,)
+        singles = [obj.optimal_outer_weight(p) for p in pts]
+        assert all(type(v) is float for pair in singles for v in pair)
+        if k == 1:
+            np.testing.assert_array_equal(a, [pair[0] for pair in singles])
+            np.testing.assert_array_equal(change, [pair[1] for pair in singles])
+        else:
+            # numpy sends a one-row block through BLAS dot and a batch through
+            # gemv, which may round the k-term sum S differently in the last bit
+            np.testing.assert_allclose(a, [pair[0] for pair in singles], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(change, [pair[1] for pair in singles], rtol=0, atol=1e-15)
+
+    def test_outer_curvature_is_the_a_squared_coefficient(self):
+        rng = np.random.default_rng(13)
+        assert rand_objective(rng, reg="none").outer_curvature() == 1.0
+        assert rand_objective(rng, reg="charge").outer_curvature() == 2.0
+        tgt = TargetNetwork(w=rng.standard_normal((2, 3)), b=[1.0, -1.0])
+        for reg in ("none", "charge"):
+            with pytest.raises(SingularDiagonal):
+                Objective(CoulombPotential(3), tgt, regularization=reg).outer_curvature()
 
     def test_solve_optimal_a_zeroes_outer_gradient(self):
         rng = np.random.default_rng(9)

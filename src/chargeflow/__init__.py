@@ -55,6 +55,7 @@ from .landscape import (
 )
 from .loss import (
     Hypothesis,
+    NodeObjective,
     Objective,
     TargetNetwork,
     VectorObjective,

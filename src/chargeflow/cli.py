@@ -77,7 +77,7 @@ def _build_parser():
 
     v = sub.add_parser("verify", help="run landscape checks")
     v.add_argument("--out", help=_FLAG_HELP["out"])
-    v.add_argument("--seeds", help="seed of the check suite: the first entry of the list")
+    v.add_argument("--seed", type=int, default=0, help="seed of the check suite")
     v.add_argument("--check", default="all", choices=("all", *_CHECK_PREFIX))
 
     i = sub.add_parser("potential-info", help="describe a kernel id")
@@ -225,7 +225,7 @@ _CHECK_PREFIX = {
 
 
 def cmd_verify(args):
-    verdicts = _verify_verdicts(seed=int(args.seeds.split(",")[0]) if args.seeds else 0)
+    verdicts = _verify_verdicts(seed=args.seed)
     if args.check != "all":
         verdicts = [v for v in verdicts if v.check == _CHECK_PREFIX[args.check]]
     lines = [v.to_json() for v in verdicts]

@@ -2,12 +2,11 @@
 combination with an early stop, and the sequential node-by-node driver.
 
 All algorithms operate on objectives over a flat coordinate vector with five
-methods: ``value(x)``, ``grad(x)``, ``value_and_grad(x)``, ``hess(x, h)``
-(``h`` is the central-difference step, ``DescentConfig.hessian_step``) and
+methods: ``value(x)``, ``grad(x)``, ``value_and_grad(x)``, ``hess(x)`` and
 ``project(x)`` (the retraction onto the objective's manifold).
-``loss.VectorObjective`` and ``FunctionObjective`` implement all five. Runs
-are deterministic: the only randomness is the seeded ball sampling in node
-initialization.
+``loss.VectorObjective``, its single-node ``loss.NodeObjective`` and
+``FunctionObjective`` implement all five. Runs are deterministic: the only
+randomness is the seeded ball sampling in node initialization.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import ChargeflowError, EigenSolveFailure, InitializationFailed
-from .loss import Objective, VectorObjective, fd_gradient, fd_hessian
+from .loss import NodeObjective, Objective, fd_hessian
 
 
 @dataclass(frozen=True)
@@ -27,14 +26,13 @@ class DescentConfig:
     alpha: float = 0.1
     eta: float = 1e-3
     gamma: float = 1e-2
-    hessian_step: float = 1e-4
     seed: int = 0
     trace_stride: int = 1
     # node-wise driver: "fixed" uses alpha as-is per node; "init-charge"
-    # rescales it by the squared initial outer weight, which equalizes the
-    # particle drift speed across nodes of different charge magnitude
+    # rescales it by the squared initial outer weight (floored at 1e-4), which
+    # equalizes the particle drift speed across nodes of different charge
+    # magnitude
     alpha_scale: str = "fixed"
-    alpha_floor: float = 1e-4
 
     def __post_init__(self):
         if self.T < 1 or self.alpha <= 0 or self.eta <= 0 or self.gamma <= 0:
@@ -116,10 +114,9 @@ class StationaritySet:
 
 class FunctionObjective:
     """Wrap plain callables as a Euclidean descent objective; a missing
-    gradient falls back to central differences of the value, a missing
-    Hessian to central differences of the gradient."""
+    Hessian falls back to central differences of the gradient."""
 
-    def __init__(self, f, grad=None, hess=None):
+    def __init__(self, f, grad, hess=None):
         self._f = f
         self._grad = grad
         self._hess = hess
@@ -128,19 +125,16 @@ class FunctionObjective:
         return float(self._f(np.asarray(x, dtype=float)))
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._grad is not None:
-            return np.asarray(self._grad(x), dtype=float)
-        return fd_gradient(self._f, x)
+        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
 
     def value_and_grad(self, x):
         return self.value(x), self.grad(x)
 
-    def hess(self, x, h=1e-4):
+    def hess(self, x):
         x = np.asarray(x, dtype=float)
         if self._hess is not None:
             return np.asarray(self._hess(x), dtype=float)
-        return fd_hessian(self.grad, x, h)
+        return fd_hessian(self.grad, x)
 
     def project(self, x):
         return x
@@ -199,7 +193,7 @@ def hessian_descent_step(objective, x, cfg: DescentConfig):
 
     Returns (new point, lambda_min)."""
     x = np.asarray(x, dtype=float)
-    lam_min, v_min = min_eigpair(objective.hess(x, cfg.hessian_step))
+    lam_min, v_min = min_eigpair(objective.hess(x))
     g = objective.grad(x)
     s = float(np.sign(g @ v_min))
     if s == 0.0:
@@ -257,12 +251,11 @@ def second_gd(objective, x0, cfg: DescentConfig):
     return report
 
 
-def stationarity_check(objective, x, eps, cfg: DescentConfig | None = None):
+def stationarity_check(objective, x, eps):
     """Measure both membership conditions of the eps-stationary set."""
-    cfg = cfg or DescentConfig()
     x = np.asarray(x, dtype=float)
     g = objective.grad(x)
-    lam_min, _ = min_eigpair(objective.hess(x, cfg.hessian_step))
+    lam_min, _ = min_eigpair(objective.hess(x))
     return StationaritySet(
         point=x, eps=eps, grad_norm=float(np.linalg.norm(g)), lambda_min=lam_min
     )
@@ -347,34 +340,32 @@ class NodeWiseResult:
     init_changes: list
 
 
-def node_wise_descent(obj: Objective, policy, cfg: DescentConfig, k=None):
+def node_wise_descent(obj: Objective, policy, cfg: DescentConfig):
     """Learn nodes sequentially: initialize node i, run the combined descent
     on its restricted objective with nodes < i frozen at their learned values
     (acting as additional fixed charges) and nodes > i silent at a = 0.
 
     Each node finishes with the closed-form re-optimization of its outer
     weight at the learned position (a strict decrease of the quadratic; the
-    position converges faster than the jointly descended weight)."""
-    k = k or obj.target.k
-    d = obj.target.d
+    position converges faster than the jointly descended weight). Sphere
+    kernels raise DimensionMismatch before any trial is scored."""
     learned_a: list[float] = []
     learned_theta: list[np.ndarray] = []
     reports = []
     changes = []
-    for i in range(k):
+    for i in range(obj.target.k):
         sub = obj.restricted(np.array(learned_theta), np.array(learned_a))
+        node = NodeObjective(sub)
         a0, th0, change = initialize_node(sub, policy, seed=cfg.seed + i)
         node_cfg = cfg
         if cfg.alpha_scale == "init-charge":
-            scale = max(a0 * a0, cfg.alpha_floor)
+            scale = max(a0 * a0, 1e-4)
             node_cfg = replace(cfg, alpha=min(1.0, cfg.alpha / scale), alpha_scale="fixed")
-        vec = VectorObjective(sub, 1, d)
-        x0 = np.concatenate([[a0], th0])
-        rep = second_gd(vec, x0, node_cfg)
-        hyp = vec.unpack(rep.final_x)
-        a_final, _ = sub.optimal_outer_weight(hyp.theta[0])
+        rep = second_gd(node, np.concatenate([[a0], th0]), node_cfg)
+        theta = rep.final_x[1:]
+        a_final, _ = sub.optimal_outer_weight(theta)
         learned_a.append(float(a_final))
-        learned_theta.append(hyp.theta[0])
+        learned_theta.append(theta)
         reports.append(rep)
         changes.append(change)
     return NodeWiseResult(

@@ -52,7 +52,7 @@ class ExperimentConfig:
     k: int = 2
     potential: str = "almost:eps=0.1,lambda=1,d=3"
     separation: float = 10.0
-    scale: float | None = None  # variance of the hidden weights; None = d ln d
+    scale: float | None = None  # variance of the hidden weights; None: std = separation
     trials: int = 3_000_000
     radius_mult: float = 1.2
     descent_T: int = 30_000
@@ -360,9 +360,12 @@ def coerce(key, val):
 
 
 def config_from(file_values: dict, overrides: dict):
-    """Build the experiment config with flags overriding file values."""
+    """Build the experiment config with flags overriding file values;
+    ``full_scale`` with an explicit iters or alpha raises ValueError."""
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
+    if merged.get("full_scale") and ("iters" in merged or "alpha" in merged):
+        raise ValueError("full_scale sets iters and alpha; drop the explicit values")
     return ExperimentConfig(**merged)
 
 

@@ -133,39 +133,12 @@ class Objective:
         """Fused value and analytic gradient sharing the kernel blocks."""
         self._check(hyp)
         pot = self.potential
-        if hyp.k == 1 and pot.manifold != SPHERE:
-            return self._loss_and_grad_single(hyp)
         a, b = hyp.a, self.target.b
         gram_off, g_ee = pot.pairwise_grad(hyp.theta)
         cross, g_ew = pot.pairwise_grad(hyp.theta, self.target.w)
         val, half_ga = self._quadratic(a, gram_off, cross)
         gt = 2.0 * a[:, None] * (np.einsum("ijd,j->id", g_ee, a) + np.einsum("ijd,j->id", g_ew, b))
         return val, 2.0 * half_ga, pot.tangent(hyp.theta, gt)
-
-    def _loss_and_grad_single(self, hyp: Hypothesis):
-        """One mobile node against the fixed charges: a single fused kernel
-        pass over the k separations (the restricted-objective hot loop).
-        It keeps its own arithmetic beside the pair core: at k=1 it takes
-        about a third of the time of the block path, and recovery's iteration
-        counts depend on its exact rounding."""
-        pot = self.potential
-        theta = hyp.theta[0]
-        a = float(hyp.a[0])
-        diff = theta - self.target.w
-        dist = np.sqrt(np.einsum("kd,kd->k", diff, diff))
-        if float(dist.min()) < _COLLISION_GUARD and not pot.smooth_origin:
-            raise NonDifferentiablePoint(
-                f"{pot.name}: zero separation at a kernel kink/singularity"
-            )
-        phi, dphi = pot.phi_and_dphi(dist)
-        s = float(phi @ self.target.b)
-        val = a * a * self._quad + 2.0 * a * s + self._bb_const
-        ga = 2.0 * (a * self._quad + s)
-        # zero separation only reaches here for smooth kernels, where diff = 0
-        # kills the term; the clamped denominator just avoids the 0/0
-        fac = dphi / np.maximum(dist, _COLLISION_GUARD)
-        gt = (2.0 * a) * ((fac * self.target.b) @ diff)
-        return val, np.array([ga]), gt[None, :]
 
     # -- quadratic structure in the outer weights -----------------------------
 
@@ -232,9 +205,9 @@ class Objective:
 class VectorObjective:
     """Flat-vector adapter over (a, theta) used by the descent algorithms.
 
-    Packing: x = [a_1..a_k, theta_11..theta_1d, ..., theta_kd]. ``project``
-    renormalizes the hidden vectors for sphere kernels and is the identity
-    otherwise.
+    Packing: x = [a_1..a_k, theta_11..theta_1d, ..., theta_kd]. ``value`` and
+    ``grad`` are views of ``value_and_grad``; ``project`` renormalizes the
+    hidden vectors for sphere kernels and is the identity otherwise.
     """
 
     objective: Objective
@@ -252,18 +225,17 @@ class VectorObjective:
         return self.k + self.k * self.d
 
     def value(self, x):
-        return self.objective.loss(self.unpack(x))
+        return self.value_and_grad(x)[0]
 
     def grad(self, x):
-        ga, gt = self.objective.grad(self.unpack(x))
-        return np.concatenate([ga, gt.ravel()])
+        return self.value_and_grad(x)[1]
 
     def value_and_grad(self, x):
         val, ga, gt = self.objective.loss_and_grad(self.unpack(x))
         return val, np.concatenate([ga, gt.ravel()])
 
-    def hess(self, x, h=1e-4):
-        return fd_hessian(self.grad, x, h)
+    def hess(self, x):
+        return fd_hessian(self.grad, x)
 
     def project(self, x):
         if self.objective.potential.manifold != SPHERE:
@@ -273,6 +245,41 @@ class VectorObjective:
         norms = np.linalg.norm(theta, axis=1, keepdims=True)
         theta /= norms
         return out
+
+
+class NodeObjective(VectorObjective):
+    """Node-wise descent's problem: one mobile node ``x = [a, theta]`` against
+    the fixed charges, value and gradient from one fused kernel pass (the
+    arithmetic recovery's iteration counts were recorded with). Sphere
+    kernels raise DimensionMismatch: node initializations sample Euclidean
+    space."""
+
+    def __init__(self, objective: Objective):
+        if objective.potential.manifold == SPHERE:
+            raise DimensionMismatch(
+                f"{objective.potential.name}: node-wise descent needs a Euclidean kernel"
+            )
+        super().__init__(objective, 1, objective.target.d)
+
+    def value_and_grad(self, x):
+        obj = self.objective
+        pot, w, b = obj.potential, obj.target.w, obj.target.b
+        a, theta = float(x[0]), x[1:]
+        diff = theta - w
+        dist = np.sqrt(np.einsum("kd,kd->k", diff, diff))
+        if float(dist.min()) < _COLLISION_GUARD and not pot.smooth_origin:
+            raise NonDifferentiablePoint(
+                f"{pot.name}: zero separation at a kernel kink/singularity"
+            )
+        phi, dphi = pot.phi_and_dphi(dist)
+        s = float(phi @ b)
+        val = a * a * obj._quad + 2.0 * a * s + obj._bb_const
+        ga = 2.0 * (a * obj._quad + s)
+        # zero separation only reaches here for smooth kernels, where diff = 0
+        # kills the term; the clamped denominator just avoids the 0/0
+        fac = dphi / np.maximum(dist, _COLLISION_GUARD)
+        gt = (2.0 * a) * ((fac * b) @ diff)
+        return val, np.concatenate([[ga], gt])
 
 
 def fd_gradient(f, x, h=None):
@@ -302,7 +309,7 @@ def hessian(obj: Objective, hyp: Hypothesis, h=1e-4):
     """Hessian of the loss over the packed (a, theta) vector, from central
     differences of the analytic gradient."""
     vec = VectorObjective(obj, hyp.k, hyp.d)
-    return vec.hess(vec.pack(hyp), h)
+    return fd_hessian(vec.grad, vec.pack(hyp), h)
 
 
 def theta_laplacian(obj: Objective, hyp: Hypothesis, i, h=1e-4):

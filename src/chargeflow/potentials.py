@@ -227,9 +227,6 @@ class ExpLambdaHarmonicPotential(Potential):
         self.d = int(d)
         self.name = f"explh:lambda={lam:g},d={d}"
 
-    def diagonal(self):
-        return 1.0
-
     def phi_r(self, r):
         return self.radial.phi(r)
 

@@ -66,6 +66,18 @@ class TestVerify:
         assert "earnshaw-trace" in text
         assert "unexpected failures" in text
 
+    def test_seed_selects_the_suite_draws(self, tmp_path):
+        paths = {seed: tmp_path / f"seed{seed}.jsonl" for seed in (0, 3)}
+        for seed, path in paths.items():
+            assert main(["verify", "--check", "eigstrict", "--seed", str(seed), "--out", str(path)]) == 0
+        assert paths[0].read_text() != paths[3].read_text()
+        assert main(["verify", "--check", "eigstrict", "--out", str(tmp_path / "default.jsonl")]) == 0
+        assert (tmp_path / "default.jsonl").read_text() == paths[0].read_text()
+
+    def test_seeds_is_a_usage_error(self, capsys):
+        assert main(["verify", "--seeds", "3"]) == 2
+        assert "unrecognized arguments: --seeds 3" in capsys.readouterr().err
+
     def test_full_suite_and_jsonl(self, tmp_path, capsys):
         out = tmp_path / "verdicts.jsonl"
         assert main(["verify", "--check", "all", "--out", str(out)]) == 0

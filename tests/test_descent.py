@@ -16,7 +16,7 @@ from chargeflow.descent import (
     second_gd,
     stationarity_check,
 )
-from chargeflow.errors import EigenSolveFailure, InitializationFailed
+from chargeflow.errors import DimensionMismatch, EigenSolveFailure, InitializationFailed
 from chargeflow.loss import Objective, TargetNetwork, VectorObjective
 from chargeflow.potentials import GaussianPotential, parse_potential
 
@@ -334,6 +334,13 @@ class TestNodeWise:
         rep = second_gd(vec, x0, cfg)
         assert rep.termination == "early_stop"
         np.testing.assert_array_equal(rep.final_x, x0)
+
+    def test_sphere_kernel_rejected_before_init(self):
+        # both init policies sample Euclidean space, so the node objective
+        # refuses sphere kernels before any trial is scored
+        obj = Objective(parse_potential("poly:l=3"), TargetNetwork(w=[[0.6, 0.8, 0.0]], b=[1.0]))
+        with pytest.raises(DimensionMismatch, match="poly:l=3"):
+            node_wise_descent(obj, RandomBallInit(radius=1.0, trials=100), DescentConfig(T=10))
 
     def test_two_well_separated_nodes_recovered(self, almost_table):
         from chargeflow.potentials import AlmostHarmonicPotential

@@ -4,6 +4,7 @@ import pytest
 from chargeflow.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
+    config_from,
     generate_separated_target,
     generate_target,
     match_to_target,
@@ -220,6 +221,19 @@ class TestConfigFile:
         resolved = cfg.resolved()
         assert resolved.iters == 1_000_000
         assert resolved.alpha == 1e-5
+
+    @pytest.mark.parametrize(
+        "file_values,flags",
+        [({}, {"full_scale": True, "iters": 3}), ({"alpha": 0.5}, {"full_scale": True}),
+         ({"full_scale": True}, {"iters": 3, "alpha": None})],
+    )
+    def test_full_scale_refuses_explicit_iters_or_alpha(self, file_values, flags):
+        with pytest.raises(ValueError, match="full_scale sets iters and alpha"):
+            config_from(file_values, flags)
+
+    def test_full_scale_alone_resolves(self):
+        cfg = config_from({"full_scale": True}, {"iters": None, "alpha": None})
+        assert cfg.resolved().iters == 1_000_000
 
     def test_validation(self):
         with pytest.raises(ValueError):

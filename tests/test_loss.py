@@ -4,6 +4,7 @@ import pytest
 from chargeflow.errors import DimensionMismatch, NonDifferentiablePoint, SingularDiagonal
 from chargeflow.loss import (
     Hypothesis,
+    NodeObjective,
     Objective,
     TargetNetwork,
     VectorObjective,
@@ -193,7 +194,7 @@ class TestGradient:
         # one assembly of the outer-weight quadratic serves both
         rng = np.random.default_rng(14)
         obj = rand_objective(rng, reg=reg)
-        for k in (2, 3, 5):
+        for k in (1, 2, 3, 5):
             hyp = Hypothesis(theta=rng.standard_normal((k, 3)), a=rng.uniform(-1, 1, k))
             assert obj.loss(hyp) == obj.loss_and_grad(hyp)[0]
 
@@ -206,6 +207,36 @@ class TestGradient:
         ga2, gt2 = obj.grad(hyp)
         np.testing.assert_allclose(ga, ga2, atol=1e-12)
         np.testing.assert_allclose(gt, gt2, atol=1e-12)
+
+
+class TestNodeObjective:
+    @pytest.mark.parametrize("reg", ["none", "charge"])
+    @pytest.mark.parametrize("kind", ["gauss:c=1", "exp1d:lambda=1", "almost:eps=0.1,lambda=1,d=3"])
+    def test_grad_matches_differences_of_block_loss(self, kind, reg, almost_table):
+        # the oracle is Objective.loss, which runs the pair-core block path
+        pot = parse_potential(kind, table_loader=lambda d, eps, lam: almost_table)
+        rng = np.random.default_rng(71)
+        for _ in range(5):
+            pts = separated_points(rng, 4, 3, scale=2.0, min_sep=0.5)
+            obj = Objective(pot, TargetNetwork(w=pts[1:], b=rng.uniform(-1, 1, 3)), regularization=reg)
+            node = NodeObjective(obj)
+            x = np.concatenate([rng.uniform(-1, 1, 1), pts[0]])
+            block_loss = lambda y: obj.loss(Hypothesis(theta=y[None, 1:], a=y[:1]))
+            val, g = node.value_and_grad(x)
+            assert val == pytest.approx(block_loss(x), rel=1e-12, abs=1e-12)
+            assert node.value(x) == val
+            np.testing.assert_array_equal(node.grad(x), g)
+            np.testing.assert_allclose(g, fd_gradient(block_loss, x, h=1e-6), rtol=1e-6, atol=1e-8)
+
+    def test_zero_separation(self):
+        w = np.array([[1.0, 0.0, 0.0]])
+        x = np.array([-0.5, 1.0, 0.0, 0.0])
+        kinked = NodeObjective(Objective(parse_potential("exp1d:lambda=1"), TargetNetwork(w=w, b=[1.0])))
+        with pytest.raises(NonDifferentiablePoint):
+            kinked.value_and_grad(x)
+        smooth = NodeObjective(Objective(GaussianPotential(1.0), TargetNetwork(w=w, b=[1.0])))
+        val, g = smooth.value_and_grad(x)
+        assert val == 0.25 and np.all(g[1:] == 0.0)
 
 
 class TestOptimalOuterWeight:

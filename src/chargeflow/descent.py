@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ChargeflowError, EigenSolveFailure, InitializationFailed
 from .loss import NodeObjective, Objective, fd_hessian
+from .potentials import pair_distances
 
 
 @dataclass(frozen=True)
@@ -295,7 +296,8 @@ def _best_trial(obj: Objective, rng, radius, m):
     outlives the call, so one chunk's arrays are freed before the next."""
     d = obj.target.d
     direction = rng.standard_normal((m, d))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    # row norms as distances to the origin: the kernel blocks' per-coordinate sum
+    direction /= pair_distances(direction, np.zeros((1, d)))
     radii = radius * rng.uniform(size=m) ** (1.0 / d)
     pts = direction * radii[:, None]
     a, changes = obj.optimal_outer_weight(pts)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -26,6 +27,9 @@ from .errors import (
 )
 
 SCHEMA_VERSION = 1
+
+# exp(-x) rounds to 0.0 for every x >= this (the smallest subnormal is e^-744.4)
+_EXP_UNDERFLOW = 746.0
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (ascending coefficient arrays)
@@ -124,8 +128,21 @@ class LambdaHarmonicRadial:
         return _poly_eval(self.coeffs, r) * np.exp(-self.s * r) / r ** (self.d - 2)
 
     def phi_deriv(self, r):
+        return self.phi_and_deriv(r)[1]
+
+    def phi_and_deriv(self, r):
+        """(phi, phi') sharing one exp(-s r). Where that exp underflows both
+        are +-0: the polynomials' argument is capped there, which keeps
+        r = inf from giving inf * 0."""
         r = np.asarray(r, dtype=float)
-        return -_poly_eval(self.nth_deriv_poly(1), r) * np.exp(-self.s * r) / r ** (self.d - 1)
+        e = np.exp(-self.s * r)
+        r_poly = np.minimum(r, _EXP_UNDERFLOW / self.s)
+        val = _poly_eval(self.coeffs, r_poly) * e / r ** (self.d - 2)
+        return val, -_poly_eval(self._slope_poly, r_poly) * e / r ** (self.d - 1)
+
+    @cached_property
+    def _slope_poly(self):
+        return self.nth_deriv_poly(1)
 
     def nth_deriv_poly(self, n):
         """Coefficients q_n with phi^(n)(r) = (-1)^n q_n(r) e^{-s r} / r^{d-2+n}."""
@@ -298,6 +315,28 @@ class TabulatedPotential:
         self._x = x
         self._c = coeffs
         self._tail = LambdaHarmonicRadial(d=self.d, lam=self.lam, coeffs=self.p_coeffs)
+        self._build_knot_index()
+
+    def _build_knot_index(self):
+        """Bucket table for :meth:`_knot_index` (the bucketed "hunt" lookup,
+        Numerical Recipes 3.1): 8 uniform buckets per average knot interval
+        over ``_x``, each starting at the last knot at or below its left
+        edge, plus enough upward passes to reach the answer anywhere in the
+        bucket or the next one (the bucket index may be rounded up or down
+        by one)."""
+        x = self._x
+        n = x.size
+        buckets = 8 * (n - 1)
+        self._b_scale = buckets / (x[-1] - x[0])
+        # left edges, pulled in by several times the rounding error of
+        # (q - x[0]) * scale so a rounded-up bucket never starts past q
+        slack = 8.0 * np.finfo(float).eps * buckets
+        edges = x[0] + (np.arange(buckets + 3) - slack) / self._b_scale
+        below = np.minimum(x.searchsorted(edges, side="right") - 1, n - 2)
+        self._b_start = np.maximum(below[:-1], 0)
+        self._b_passes = int(np.max(below[2:] - self._b_start[:-1]))
+        # the last interval's upper knot is never passed: idx stays <= n - 2
+        self._next = np.append(x[1:-1], np.inf)
 
     @staticmethod
     def _hermite_coeffs(x, y, m):
@@ -312,12 +351,23 @@ class TabulatedPotential:
 
     # -- evaluation --------------------------------------------------------
 
+    def _knot_index(self, x):
+        """Interval of each log-radius in [_x[0], _x[-1]]: the last knot at
+        or below it, the top knot mapped to the last interval (the same as
+        ``searchsorted(x, "right") - 1`` clamped to n - 2)."""
+        idx = self._b_start[((x - self._x[0]) * self._b_scale).astype(np.intp)]
+        for _ in range(self._b_passes):
+            idx += x >= self._next[idx]
+        return idx
+
     def _interp(self, x, deriv):
         """Log-log cubic at log-radii ``x``: (y, dy/dx), dy only when ``deriv``."""
-        idx = self._x.searchsorted(x, side="right") - 1
-        idx = np.minimum(idx, self._x.size - 2)
+        idx = self._knot_index(x)
         t = x - self._x[idx]
-        c0, c1, c2, c3 = self._c[:, idx]
+        # one gather into contiguous coefficient rows, which the cubic
+        # then streams through
+        c = self._c.take(idx, axis=1)
+        c0, c1, c2, c3 = c[0], c[1], c[2], c[3]
         y = ((c3 * t + c2) * t + c1) * t + c0
         dy = (3.0 * c3 * t + 2.0 * c2) * t + c1 if deriv else None
         return y, dy
@@ -328,22 +378,29 @@ class TabulatedPotential:
         r_flat = r_arr.ravel()
         val = np.empty_like(r_flat)
         der = np.zeros_like(r_flat) if deriv else None
-        r_lo, r_hi = self.r_grid[1], self.r_grid[-1]
-        lo = r_flat < r_lo
-        hi = r_flat > r_hi
-        mid = ~lo & ~hi
+        lo = r_flat < self.r_grid[1]
+        # NaN is past r_max here: the closed-form tail returns it as NaN
+        hi = ~(r_flat <= self.r_grid[-1])
         val[lo] = self.values[0]
-        if mid.any():
-            # _interp frees its coefficient gathers before exp (bulk peak memory)
+        # integer indices, not masks, move the two regions: a boolean gather
+        # or scatter over a random mix costs two to three times as much
+        mid = np.flatnonzero(~(lo | hi))
+        if mid.size:
+            # _interp frees its coefficient gather before exp (bulk peak memory)
             y, dy = self._interp(np.log(r_flat[mid]), deriv)
             v = np.exp(y)
             val[mid] = v
             if deriv:
                 der[mid] = v * dy / r_flat[mid]
-        if hi.any():
-            val[hi] = self._tail.phi(r_flat[hi]) / self.z
+        far = np.flatnonzero(hi)
+        if far.size:
+            r_far = r_flat[far]
             if deriv:
-                der[hi] = self._tail.phi_deriv(r_flat[hi]) / self.z
+                tail, slope = self._tail.phi_and_deriv(r_far)
+                der[far] = slope / self.z
+            else:
+                tail = self._tail.phi(r_far)
+            val[far] = tail / self.z
         if np.ndim(r) == 0:
             return float(val[0]), (float(der[0]) if deriv else None)
         return val.reshape(shape), (der.reshape(shape) if deriv else None)

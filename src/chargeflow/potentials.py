@@ -99,21 +99,20 @@ class Potential:
     # -- the pair core: every kernel block and kernel gradient -------------
 
     def _pair_arguments(self, x, y):
-        """The kernel argument of every pair, inner product on the sphere and
-        distance otherwise, with the vectors the pair gradients run along.
-        Self-pairs (``y`` None) get an argument on the diagonal that every
-        kernel accepts; their results are zeroed by the callers."""
+        """The kernel argument of every pair: inner product on the sphere,
+        distance otherwise. Self-pairs (``y`` None) get an argument on the
+        diagonal that every kernel accepts; their results are zeroed by the
+        callers."""
         ys = x if y is None else y
         if self.manifold == SPHERE:
-            s, vec = np.clip(x @ ys.T, -1.0, 1.0), ys[None, :, :]
+            s = np.clip(x @ ys.T, -1.0, 1.0)
         else:
-            # this operation order is what recovery's exact iteration counts
-            # were recorded with; init scoring runs it on 2^19 x k blocks
-            vec = x[:, None, :] - ys[None, :, :]
-            s = np.sqrt(np.sum(vec * vec, axis=-1))
+            # recovery's iteration counts were recorded with these bits; init
+            # scoring runs this on 2^19 x k blocks
+            s = pair_distances(x, ys)
         if y is None:
             np.fill_diagonal(s, 0.0 if self.manifold == SPHERE else 1.0)
-        return s, vec
+        return s
 
     def pairwise(self, x, y=None):
         """Kernel block K[i, j] = Phi(x_i, y_j) for point sets (n, d), (m, d).
@@ -122,7 +121,7 @@ class Potential:
         zeroed (the self-energy is the caller's). Raw-singular kernels raise
         SingularDiagonal at zero separation off the diagonal.
         """
-        s, _ = self._pair_arguments(x, y)
+        s = self._pair_arguments(x, y)
         if self.manifold == SPHERE:
             k = np.asarray(self.phi_rho(s), dtype=float)
         else:
@@ -143,9 +142,11 @@ class Potential:
         NonDifferentiablePoint unless the kernel is smooth there, where the
         gradient is zero; sphere kernels check their own kinks.
         """
-        s, vec = self._pair_arguments(x, y)
+        s = self._pair_arguments(x, y)
+        ys = x if y is None else y
         if self.manifold == SPHERE:
             k, fac = self.phi_rho(s), np.asarray(self.dphi_rho(s), dtype=float)
+            vec = ys[None, :, :]
         else:
             near = s < _COLLISION_GUARD
             if near.any() and not self.smooth_origin:
@@ -155,6 +156,7 @@ class Potential:
             k, dphi = self.phi_and_dphi(s)
             with np.errstate(divide="ignore", invalid="ignore"):
                 fac = np.where(near, 0.0, dphi / s)
+            vec = x[:, None, :] - ys[None, :, :]
         k = np.asarray(k, dtype=float)
         if y is None:
             np.fill_diagonal(k, 0.0)
@@ -452,13 +454,32 @@ class BesselK1RadialActivation(Activation):
         return const + sq / 4.0 + np.log(k1e(r)) - r - np.log(r)
 
 
+def pair_distances(x, y):
+    """Euclidean distances (n, m) between the rows of x (n, d) and y (m, d).
+
+    The squared coordinate differences are summed one coordinate at a time
+    into one buffer, with no (n, m, d) difference block. For d < 8 that is
+    bit-for-bit ``sqrt(sum(diff * diff, -1))``, which numpy also sums in
+    order at that length; from d = 8 on numpy's unrolled pairwise sum rounds
+    differently, in the last bits.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.subtract.outer(x[:, 0], y[:, 0])
+    out *= out
+    buf = np.empty_like(out)
+    for j in range(1, x.shape[1]):
+        np.subtract.outer(x[:, j], y[:, j], out=buf)
+        buf *= buf
+        out += buf
+    return np.sqrt(out, out=out)
+
+
 def min_separation(x, y=None):
     """Smallest distance between a row of x and a row of y; with ``y`` None,
     between distinct rows of x (inf for a single row)."""
     x = np.atleast_2d(x)
-    ys = x if y is None else np.atleast_2d(y)
-    diff = x[:, None, :] - ys[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dist = pair_distances(x, x if y is None else np.atleast_2d(y))
     if y is None:
         np.fill_diagonal(dist, np.inf)
     return float(np.min(dist))

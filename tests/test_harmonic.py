@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from chargeflow.errors import (
     EvenDimension,
@@ -193,6 +196,117 @@ class TestConstruction:
         # tail is e^{-2r}/r up to normalization
         ratio = tab.value(1.0) / tab.value(2.0)
         assert ratio == pytest.approx((np.exp(-2.0) / 1.0) / (np.exp(-4.0) / 2.0), rel=1e-6)
+
+
+def searchsorted_evaluate(tab, r, deriv):
+    """The evaluator the bucketed knot index replaced, kept as an oracle:
+    ``searchsorted`` over the log-knots, the column-per-coefficient cubic and
+    the closed-form tail, each with its own exp."""
+    x = np.log(tab.r_grid[1:])
+    y = np.log(tab.values[1:])
+    m = tab.r_grid[1:] * tab.derivs[1:] / tab.values[1:]
+    c = TabulatedPotential._hermite_coeffs(x, y, m)
+    t_mid = 0.5 * np.diff(x)
+    mid_y = ((c[3] * t_mid + c[2]) * t_mid + c[1]) * t_mid + c[0]
+    if np.any(y[:-1] - mid_y < -1e-12) or np.any(mid_y - y[1:] < -1e-12):
+        c = TabulatedPotential._hermite_coeffs(x, y, PchipInterpolator(x, y).derivative()(x))
+    radial = lambda_harmonic_poly(tab.d, tab.lam)
+    q1 = radial.nth_deriv_poly(1)
+    r = np.asarray(r, dtype=float)
+    val = np.empty_like(r)
+    der = np.zeros_like(r)
+    lo = r < tab.r_grid[1]
+    hi = r > tab.r_grid[-1]
+    mid = ~lo & ~hi
+    val[lo] = tab.values[0]
+    q = np.log(r[mid])
+    idx = np.minimum(x.searchsorted(q, side="right") - 1, x.size - 2)
+    t = q - x[idx]
+    c0, c1, c2, c3 = c[:, idx]
+    v = np.exp(((c3 * t + c2) * t + c1) * t + c0)
+    val[mid] = v
+    der[mid] = v * ((3.0 * c3 * t + 2.0 * c2) * t + c1) / r[mid]
+    rt = r[hi]
+    val[hi] = np.polynomial.polynomial.polyval(rt, radial.coeffs) * np.exp(-radial.s * rt) / rt / tab.z
+    der[hi] = -np.polynomial.polynomial.polyval(rt, q1) * np.exp(-radial.s * rt) / rt**2 / tab.z
+    return val if not deriv else (val, der)
+
+
+class TestKnotLookup:
+    """The bucketed knot index and the evaluator built on it, against
+    ``searchsorted``; every comparison is exact."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, almost_table):
+        return [almost_table, build_almost_harmonic(3, 0.3, 4.0, grid=GridSpec(n=300))]
+
+    def test_index_matches_searchsorted(self, tables):
+        rng = np.random.default_rng(11)
+        for tab in tables:
+            x = tab._x
+            n = x.size
+            edges = x[0] + np.arange(int((x[-1] - x[0]) * tab._b_scale) + 2) / tab._b_scale
+            q = np.concatenate(
+                [
+                    x,
+                    np.nextafter(x, np.inf),
+                    np.nextafter(x, -np.inf),
+                    edges,
+                    np.nextafter(edges, np.inf),
+                    np.nextafter(edges, -np.inf),
+                    rng.uniform(x[0], x[-1], 1_000_000),
+                ]
+            )
+            q = q[(q >= x[0]) & (q <= x[-1])]
+            want = np.minimum(x.searchsorted(q, side="right") - 1, n - 2)
+            np.testing.assert_array_equal(tab._knot_index(q), want)
+
+    def test_evaluator_matches_searchsorted_oracle(self, tables):
+        rng = np.random.default_rng(12)
+        for tab in tables:
+            g = tab.r_grid
+            kinds = {
+                "below": np.array([0.0, 5e-324, 1e-300, g[1] / 2.0, np.nextafter(g[1], 0.0)]),
+                "ends": np.array([g[1], g[-1]]),
+                "in-grid": np.concatenate(
+                    [
+                        g[1:],
+                        np.nextafter(g[2:], 0.0),
+                        np.nextafter(g[1:-1], np.inf),
+                        np.exp(rng.uniform(np.log(g[1]), np.log(g[-1]), 200_000)),
+                    ]
+                ),
+                "tail": np.concatenate(
+                    [[np.nextafter(g[-1], np.inf), 1e3, 1e5], g[-1] + rng.exponential(20.0, 20_000)]
+                ),
+            }
+            for kind, r in kinds.items():
+                want_val, want_der = searchsorted_evaluate(tab, r, deriv=True)
+                np.testing.assert_array_equal(tab.value(r), want_val, err_msg=kind)
+                val, der = tab.value_and_deriv(r)
+                np.testing.assert_array_equal(val, want_val, err_msg=kind)
+                np.testing.assert_array_equal(der, want_der, err_msg=kind)
+                for i in range(0, r.size, max(1, r.size // 7)):
+                    assert tab.value(r[i]) == want_val[i]
+                    assert tab.value_and_deriv(r[i]) == (want_val[i], want_der[i])
+
+    def test_non_finite_radii(self, almost_table):
+        tab = almost_table
+        r = np.array([np.nan, 0.5, np.inf, 30.0, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = tab.value(r)
+            val2, der = tab.value_and_deriv(r)
+            assert tab.value_and_deriv(np.inf) == (0.0, 0.0)
+            assert np.isnan(tab.value(np.nan))
+            for d in (3, 7):
+                assert lambda_harmonic_poly(d, 1.0).phi_and_deriv(np.inf) == (0.0, 0.0)
+        np.testing.assert_array_equal(val, val2)
+        assert np.isnan(val[[0, 4]]).all() and np.isnan(der[[0, 4]]).all()
+        assert val[2] == 0.0 and der[2] == 0.0
+        finite = [1, 3]
+        np.testing.assert_array_equal(val[finite], tab.value(r[finite]))
+        np.testing.assert_array_equal(der[finite], tab.value_and_deriv(r[finite])[1])
 
 
 class TestSerializationAndCache:

@@ -193,10 +193,11 @@ class TestGradient:
     def test_loss_is_the_fused_value(self, reg):
         # one assembly of the outer-weight quadratic serves both
         rng = np.random.default_rng(14)
-        obj = rand_objective(rng, reg=reg)
-        for k in (1, 2, 3, 5):
-            hyp = Hypothesis(theta=rng.standard_normal((k, 3)), a=rng.uniform(-1, 1, k))
-            assert obj.loss(hyp) == obj.loss_and_grad(hyp)[0]
+        for d in (3, 10):
+            obj = rand_objective(rng, d=d, reg=reg)
+            for k in (1, 2, 3, 5):
+                hyp = Hypothesis(theta=rng.standard_normal((k, d)), a=rng.uniform(-1, 1, k))
+                assert obj.loss(hyp) == obj.loss_and_grad(hyp)[0]
 
     def test_fused_matches_separate(self):
         rng = np.random.default_rng(7)

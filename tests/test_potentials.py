@@ -29,6 +29,8 @@ from chargeflow.potentials import (
     empirical_dual,
     eval_potential,
     hermite_eval,
+    min_separation,
+    pair_distances,
     parse_potential,
     realizability_certificate_radial,
 )
@@ -289,6 +291,33 @@ class TestPairCore:
                     assert k[i, j] == pytest.approx(eval_potential(pot, x[i], block_y[j]), rel=1e-12)
                     basis, fd = self.fd_grad(pot, x[i], block_y[j])
                     np.testing.assert_allclose(basis @ g[i, j], fd, rtol=1e-6, atol=1e-8)
+
+
+class TestPairDistances:
+    @staticmethod
+    def block_oracle(x, y):
+        vec = x[:, None, :] - y[None, :, :]
+        return np.sqrt(np.sum(vec * vec, axis=-1))
+
+    def test_bit_equal_at_d3(self):
+        rng = np.random.default_rng(41)
+        x, y = rng.standard_normal((2000, 3)) * 7.0, rng.standard_normal((5, 3)) * 3.0
+        np.testing.assert_array_equal(pair_distances(x, y), self.block_oracle(x, y))
+        pot = GaussianPotential(0.3)
+        np.testing.assert_array_equal(pot.pairwise(x, y), pot.phi_r(self.block_oracle(x, y)))
+        k, g = pot.pairwise_grad(x[:40], y)
+        np.testing.assert_array_equal(k, pot.pairwise(x[:40], y))
+        dist = self.block_oracle(x[:40], y)
+        vec = x[:40, None, :] - y[None, :, :]
+        np.testing.assert_array_equal(g, (pot.dphi_r(dist) / dist)[:, :, None] * vec)
+
+    def test_close_at_d10(self):
+        rng = np.random.default_rng(42)
+        x, y = rng.standard_normal((300, 10)), rng.standard_normal((7, 10))
+        np.testing.assert_allclose(pair_distances(x, y), self.block_oracle(x, y), rtol=1e-14)
+        oracle = self.block_oracle(x, x)
+        np.fill_diagonal(oracle, np.inf)
+        assert min_separation(x) == pytest.approx(oracle.min(), rel=1e-14)
 
 
 class TestRealizabilityCertificate:

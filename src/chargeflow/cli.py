@@ -18,7 +18,7 @@ from . import dynamics as dyn
 from . import harness, landscape
 from .errors import ChargeflowError
 from .loss import Hypothesis, Objective, TargetNetwork
-from .potentials import SPHERE, eval_potential, min_separation, parse_potential
+from .potentials import SPHERE, min_separation, parse_potential
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
@@ -247,16 +247,11 @@ def cmd_potential_info(args):
     print(f"manifold: {pot.manifold}")
     print(f"finite diagonal: {pot.finite_diagonal}")
     if pot.manifold == SPHERE:
-        probes = (1.0, 0.5, 0.0, -0.5)
-        for rho in probes:
-            print(f"  phi(rho={rho:+.1f}) = {float(pot.phi_rho(rho)):.6f}")
+        probes = {f"rho={rho:+.1f}": rho for rho in (1.0, 0.5, 0.0, -0.5)}
     else:
-        d = getattr(pot, "d", 3)
-        theta = np.zeros(d)
-        for r in (0.5, 1.0, 2.0, 5.0):
-            w = np.zeros(d)
-            w[0] = r
-            print(f"  phi(r={r}) = {eval_potential(pot, theta, w):.6f}")
+        probes = {f"r={r}": r for r in (0.5, 1.0, 2.0, 5.0)}
+    for label, s in probes.items():
+        print(f"  phi({label}) = {float(pot.phi(s)):.6f}")
     return 0
 
 

@@ -1,12 +1,12 @@
 """Descent algorithms: plain gradient steps, negative-curvature steps, their
 combination with an early stop, and the sequential node-by-node driver.
 
-All algorithms operate on objectives over a flat coordinate vector with five
-methods: ``value(x)``, ``grad(x)``, ``value_and_grad(x)``, ``hess(x)`` and
-``project(x)`` (the retraction onto the objective's manifold).
-``loss.VectorObjective``, its single-node ``loss.NodeObjective`` and
-``FunctionObjective`` implement all five. Runs are deterministic: the only
-randomness is the seeded ball sampling in node initialization.
+All algorithms operate on objectives over a flat coordinate vector with three
+methods: ``value_and_grad(x)``, ``hess(x)`` and ``project(x)`` (the
+retraction onto the objective's manifold). ``loss.VectorObjective``, its
+single-node ``loss.NodeObjective`` and ``FunctionObjective`` implement all
+three. Runs are deterministic: the only randomness is the seeded ball
+sampling in node initialization.
 """
 
 from __future__ import annotations
@@ -119,23 +119,18 @@ class FunctionObjective:
 
     def __init__(self, f, grad, hess=None):
         self._f = f
-        self._grad = grad
+        self._grad = lambda x: np.asarray(grad(x), dtype=float)
         self._hess = hess
 
-    def value(self, x):
-        return float(self._f(np.asarray(x, dtype=float)))
-
-    def grad(self, x):
-        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
-
     def value_and_grad(self, x):
-        return self.value(x), self.grad(x)
+        x = np.asarray(x, dtype=float)
+        return float(self._f(x)), self._grad(x)
 
     def hess(self, x):
         x = np.asarray(x, dtype=float)
         if self._hess is not None:
             return np.asarray(self._hess(x), dtype=float)
-        return fd_hessian(self.grad, x)
+        return fd_hessian(self._grad, x)
 
     def project(self, x):
         return x
@@ -153,18 +148,18 @@ def min_eigpair(h):
 
 
 def gd(objective, x0, cfg: DescentConfig):
-    """Plain gradient descent: T steps of x <- project(x - alpha * grad).
+    """Plain gradient descent: T steps of x <- project(x - alpha * grad), one
+    ``value_and_grad`` call per iterate.
 
-    A kernel kink or solver failure mid-trajectory truncates the run and is
-    recorded on the report instead of propagating."""
+    A kernel kink or solver failure at a new iterate ends the run at the
+    previous one, recorded on the report instead of propagating."""
     x = np.asarray(x0, dtype=float).copy()
     report = DescentReport()
-    value = objective.value(x)
+    value, g = objective.value_and_grad(x)
     for it in range(1, cfg.T + 1):
         try:
-            g = objective.grad(x)
             x_new = objective.project(x - cfg.alpha * g)
-            new_value = objective.value(x_new)
+            new_value, g_new = objective.value_and_grad(x_new)
         except ChargeflowError as exc:
             report.termination = "error"
             report.error = str(exc)
@@ -180,22 +175,22 @@ def gd(objective, x0, cfg: DescentConfig):
                     decrease=value - new_value,
                 )
             )
-        x, value = x_new, new_value
+        x, value, g = x_new, new_value, g_new
         report.iterations = it
     report.final_x = x
     report.final_value = value
     return report
 
 
-def hessian_descent_step(objective, x, cfg: DescentConfig):
-    """One negative-curvature step: x + beta v_min with |beta| = alpha
-    |lambda_min| and the sign chosen so beta * (grad . v_min) <= 0
-    (sign(0) := +1), the choice the decrease guarantee rests on.
+def hessian_descent_step(objective, x, g, cfg: DescentConfig):
+    """One negative-curvature step from x, whose gradient g the caller
+    holds: x + beta v_min with |beta| = alpha |lambda_min| and the sign
+    chosen so beta * (g . v_min) <= 0 (sign(0) := +1), the choice the
+    decrease guarantee rests on.
 
     Returns (new point, lambda_min)."""
     x = np.asarray(x, dtype=float)
     lam_min, v_min = min_eigpair(objective.hess(x))
-    g = objective.grad(x)
     s = float(np.sign(g @ v_min))
     if s == 0.0:
         s = 1.0
@@ -223,7 +218,7 @@ def second_gd(objective, x0, cfg: DescentConfig):
                 x_new = x_prev - cfg.alpha * g
             else:
                 branch = "hessian"
-                x_new, lam_min = hessian_descent_step(objective, x_prev, cfg)
+                x_new, lam_min = hessian_descent_step(objective, x_prev, g, cfg)
             x_new = objective.project(x_new)
             v_new, g_new = objective.value_and_grad(x_new)
         except ChargeflowError as exc:
@@ -255,7 +250,7 @@ def second_gd(objective, x0, cfg: DescentConfig):
 def stationarity_check(objective, x, eps):
     """Measure both membership conditions of the eps-stationary set."""
     x = np.asarray(x, dtype=float)
-    g = objective.grad(x)
+    _, g = objective.value_and_grad(x)
     lam_min, _ = min_eigpair(objective.hess(x))
     return StationaritySet(
         point=x, eps=eps, grad_norm=float(np.linalg.norm(g)), lambda_min=lam_min

@@ -123,22 +123,33 @@ class LambdaHarmonicRadial:
     def s(self):
         return float(np.sqrt(self.lam))
 
-    def phi(self, r):
-        r = np.asarray(r, dtype=float)
-        return _poly_eval(self.coeffs, r) * np.exp(-self.s * r) / r ** (self.d - 2)
+    @cached_property
+    def _r_cap(self):
+        """Radius past which exp(-s r) is 0; with lam = 0 it never is."""
+        return _EXP_UNDERFLOW / self.s if self.s > 0 else np.inf
 
-    def phi_deriv(self, r):
-        return self.phi_and_deriv(r)[1]
+    def _capped(self, r):
+        """(r capped at ``_r_cap``, exp(-s r)). The factors other than the
+        exp take the capped r, so r = inf gives +-0 rather than inf * 0, and
+        no power of r overflows."""
+        r = np.asarray(r, dtype=float)
+        e = np.exp(-self.s * r)  # before the capped copy: one fewer live array
+        return np.minimum(r, self._r_cap), e
+
+    def phi(self, r):
+        # init scoring calls this on millions of radii: working in place on
+        # the two fresh arrays keeps recovery's peak memory where it was
+        r, e = self._capped(r)
+        e *= _poly_eval(self.coeffs, r)
+        r **= self.d - 2
+        e /= r
+        return e
 
     def phi_and_deriv(self, r):
-        """(phi, phi') sharing one exp(-s r). Where that exp underflows both
-        are +-0: the polynomials' argument is capped there, which keeps
-        r = inf from giving inf * 0."""
-        r = np.asarray(r, dtype=float)
-        e = np.exp(-self.s * r)
-        r_poly = np.minimum(r, _EXP_UNDERFLOW / self.s)
-        val = _poly_eval(self.coeffs, r_poly) * e / r ** (self.d - 2)
-        return val, -_poly_eval(self._slope_poly, r_poly) * e / r ** (self.d - 1)
+        """(phi, phi') sharing one exp(-s r)."""
+        r, e = self._capped(r)
+        val = _poly_eval(self.coeffs, r) * e / r ** (self.d - 2)
+        return val, -_poly_eval(self._slope_poly, r) * e / r ** (self.d - 1)
 
     @cached_property
     def _slope_poly(self):
@@ -509,8 +520,7 @@ def build_almost_harmonic(d, eps, lam=1.0, grid=None, tol=1e-10):
     derivs_below = (wx[None, :] * _base_deriv(x[None, :], eps, below[:, None])) @ wq
 
     above = knots[knots >= eps]
-    vals_above = radial.phi(above)
-    derivs_above = radial.phi_deriv(above)
+    vals_above, derivs_above = radial.phi_and_deriv(above)
 
     # seam consistency: the quadrature must reproduce the closed form at eps
     seam = (wx * _base_value(x, eps, eps)) @ wq

@@ -22,7 +22,7 @@ from scipy.optimize import linear_sum_assignment
 from .descent import DescentConfig, RandomBallInit, node_wise_descent
 from .errors import DivergedLoss
 from .loss import Objective, TargetNetwork
-from .potentials import min_separation, parse_potential
+from .potentials import min_separation, pair_distances, parse_potential
 
 SCHEMA_VERSION = 1
 
@@ -247,8 +247,7 @@ def rows_to_csv(rows):
 
 def match_to_target(theta, a, target: TargetNetwork):
     """Min-total-distance assignment of learned nodes to fixed ones."""
-    diff = theta[:, None, :] - target.w[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dist = pair_distances(theta, target.w)
     rows, perm = linear_sum_assignment(dist)
     max_dist = float(np.max(dist[rows, perm]))
     max_charge = float(np.max(np.abs(a + target.b[perm])))

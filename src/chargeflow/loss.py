@@ -205,9 +205,10 @@ class Objective:
 class VectorObjective:
     """Flat-vector adapter over (a, theta) used by the descent algorithms.
 
-    Packing: x = [a_1..a_k, theta_11..theta_1d, ..., theta_kd]. ``value`` and
-    ``grad`` are views of ``value_and_grad``; ``project`` renormalizes the
-    hidden vectors for sphere kernels and is the identity otherwise.
+    Packing: x = [a_1..a_k, theta_11..theta_1d, ..., theta_kd]. ``hess``
+    takes central differences of the ``value_and_grad`` gradient;
+    ``project`` renormalizes the hidden vectors for sphere kernels and is the
+    identity otherwise.
     """
 
     objective: Objective
@@ -224,18 +225,12 @@ class VectorObjective:
     def dim(self):
         return self.k + self.k * self.d
 
-    def value(self, x):
-        return self.value_and_grad(x)[0]
-
-    def grad(self, x):
-        return self.value_and_grad(x)[1]
-
     def value_and_grad(self, x):
         val, ga, gt = self.objective.loss_and_grad(self.unpack(x))
         return val, np.concatenate([ga, gt.ravel()])
 
-    def hess(self, x):
-        return fd_hessian(self.grad, x)
+    def hess(self, x, h=1e-4):
+        return fd_hessian(lambda z: self.value_and_grad(z)[1], x, h)
 
     def project(self, x):
         if self.objective.potential.manifold != SPHERE:
@@ -309,7 +304,7 @@ def hessian(obj: Objective, hyp: Hypothesis, h=1e-4):
     """Hessian of the loss over the packed (a, theta) vector, from central
     differences of the analytic gradient."""
     vec = VectorObjective(obj, hyp.k, hyp.d)
-    return fd_hessian(vec.grad, vec.pack(hyp), h)
+    return vec.hess(vec.pack(hyp), h)
 
 
 def theta_laplacian(obj: Objective, hyp: Hypothesis, i, h=1e-4):

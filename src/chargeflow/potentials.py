@@ -75,9 +75,10 @@ def activation_from_potential_taylor(taylor_coeffs):
 class Potential:
     """Base similarity kernel.
 
-    Subclasses are either radial on Euclidean space (implement ``phi_r`` and
-    ``dphi_r``, or ``phi_and_dphi``, of the separation r) or rotational on the
-    unit sphere (implement ``phi_rho``/``dphi_rho`` of the inner product).
+    Every kernel is one function of one pair argument s: the separation r on
+    Euclidean space, the inner product rho on the unit sphere. Subclasses
+    implement ``phi(s)`` and ``phi_and_dphi(s)``, the value together with its
+    slope in s.
     """
 
     name = "potential"
@@ -91,10 +92,6 @@ class Potential:
         if not self.finite_diagonal:
             raise SingularDiagonal(f"{self.name} kernel diverges on the diagonal")
         return 1.0
-
-    def phi_and_dphi(self, r):
-        """Radial value and derivative together (single pass where possible)."""
-        return self.phi_r(r), self.dphi_r(r)
 
     # -- the pair core: every kernel block and kernel gradient -------------
 
@@ -122,12 +119,10 @@ class Potential:
         SingularDiagonal at zero separation off the diagonal.
         """
         s = self._pair_arguments(x, y)
-        if self.manifold == SPHERE:
-            k = np.asarray(self.phi_rho(s), dtype=float)
-        else:
-            if self.raw_singular and np.any(s < _COLLISION_GUARD):
-                raise SingularDiagonal(f"{self.name}: zero separation at a singular kernel")
-            k = np.asarray(self.phi_r(s), dtype=float)
+        # raw-singular kernels are all Euclidean, so s is a distance here
+        if self.raw_singular and np.any(s < _COLLISION_GUARD):
+            raise SingularDiagonal(f"{self.name}: zero separation at a singular kernel")
+        k = np.asarray(self.phi(s), dtype=float)
         if y is None:
             np.fill_diagonal(k, 0.0)
         return k
@@ -144,16 +139,18 @@ class Potential:
         """
         s = self._pair_arguments(x, y)
         ys = x if y is None else y
-        if self.manifold == SPHERE:
-            k, fac = self.phi_rho(s), np.asarray(self.dphi_rho(s), dtype=float)
-            vec = ys[None, :, :]
-        else:
+        sphere = self.manifold == SPHERE
+        if not sphere:
             near = s < _COLLISION_GUARD
             if near.any() and not self.smooth_origin:
                 raise NonDifferentiablePoint(
                     f"{self.name}: zero separation at a kernel kink/singularity"
                 )
-            k, dphi = self.phi_and_dphi(s)
+        k, dphi = self.phi_and_dphi(s)
+        if sphere:
+            fac = np.asarray(dphi, dtype=float)
+            vec = ys[None, :, :]
+        else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 fac = np.where(near, 0.0, dphi / s)
             vec = x[:, None, :] - ys[None, :, :]
@@ -184,13 +181,13 @@ class SignPotential(Potential):
     name = "sign"
     manifold = SPHERE
 
-    def phi_rho(self, rho):
+    def phi(self, rho):
         return 1.0 - 2.0 * np.arccos(np.clip(rho, -1.0, 1.0)) / np.pi
 
-    def dphi_rho(self, rho):
+    def phi_and_dphi(self, rho):
         if np.any(1.0 - np.abs(rho) < 1e-12):
             raise NonDifferentiablePoint("sign kernel has kinks at rho = +/-1")
-        return 2.0 / (np.pi * np.sqrt(1.0 - rho * rho))
+        return self.phi(rho), 2.0 / (np.pi * np.sqrt(1.0 - rho * rho))
 
 
 class GaussianPotential(Potential):
@@ -205,11 +202,12 @@ class GaussianPotential(Potential):
         self.c = float(c)
         self.name = f"gauss:c={c:g}"
 
-    def phi_r(self, r):
+    def phi(self, r):
         return np.exp(-self.c * np.square(r) / 2.0)
 
-    def dphi_r(self, r):
-        return -self.c * r * self.phi_r(r)
+    def phi_and_dphi(self, r):
+        e = self.phi(r)
+        return e, -self.c * r * e
 
 
 class ExpLambdaHarmonicPotential(Potential):
@@ -229,11 +227,11 @@ class ExpLambdaHarmonicPotential(Potential):
         self.d = int(d)
         self.name = f"explh:lambda={lam:g},d={d}"
 
-    def phi_r(self, r):
+    def phi(self, r):
         return self.radial.phi(r)
 
-    def dphi_r(self, r):
-        return self.radial.phi_deriv(r)
+    def phi_and_dphi(self, r):
+        return self.radial.phi_and_deriv(r)
 
 
 class PolynomialPotential(Potential):
@@ -247,11 +245,11 @@ class PolynomialPotential(Potential):
         self.l = int(l)
         self.name = f"poly:l={self.l}"
 
-    def phi_rho(self, rho):
+    def phi(self, rho):
         return np.asarray(rho) ** self.l
 
-    def dphi_rho(self, rho):
-        return self.l * np.asarray(rho) ** (self.l - 1)
+    def phi_and_dphi(self, rho):
+        return self.phi(rho), self.l * np.asarray(rho) ** (self.l - 1)
 
 
 class HermiteDualPotential(Potential):
@@ -269,12 +267,12 @@ class HermiteDualPotential(Potential):
         self.z = z
         self.name = "hermite-dual"
 
-    def phi_rho(self, rho):
+    def phi(self, rho):
         return np.polynomial.polynomial.polyval(rho, self.taylor) / self.z
 
-    def dphi_rho(self, rho):
+    def phi_and_dphi(self, rho):
         d = np.polynomial.polynomial.polyder(self.taylor)
-        return np.polynomial.polynomial.polyval(rho, d) / self.z
+        return self.phi(rho), np.polynomial.polynomial.polyval(rho, d) / self.z
 
 
 class AlmostHarmonicPotential(Potential):
@@ -289,7 +287,7 @@ class AlmostHarmonicPotential(Potential):
         self.d = table.d
         self.name = f"almost:eps={table.eps:g},lambda={table.lam:g},d={table.d}"
 
-    def phi_r(self, r):
+    def phi(self, r):
         return self.table.value(r)
 
     def phi_and_dphi(self, r):
@@ -306,11 +304,12 @@ class LaplaceExpPotential(Potential):
         self.s = float(np.sqrt(lam))
         self.name = f"exp1d:lambda={lam:g}"
 
-    def phi_r(self, r):
+    def phi(self, r):
         return np.exp(-self.s * np.asarray(r))
 
-    def dphi_r(self, r):
-        return -self.s * np.exp(-self.s * np.asarray(r))
+    def phi_and_dphi(self, r):
+        e = self.phi(r)
+        return e, -self.s * e
 
 
 class CoulombPotential(Potential):
@@ -326,11 +325,11 @@ class CoulombPotential(Potential):
         self.d = int(d)
         self.name = f"coulomb:d={d}"
 
-    def phi_r(self, r):
+    def phi(self, r):
         return np.asarray(r, dtype=float) ** (2 - self.d)
 
-    def dphi_r(self, r):
-        return (2 - self.d) * np.asarray(r, dtype=float) ** (1 - self.d)
+    def phi_and_dphi(self, r):
+        return self.phi(r), (2 - self.d) * np.asarray(r, dtype=float) ** (1 - self.d)
 
 
 class LogPotential(Potential):
@@ -344,11 +343,11 @@ class LogPotential(Potential):
         self.d = 2
         self.name = "log"
 
-    def phi_r(self, r):
+    def phi(self, r):
         return -np.log(np.asarray(r, dtype=float))
 
-    def dphi_r(self, r):
-        return -1.0 / np.asarray(r, dtype=float)
+    def phi_and_dphi(self, r):
+        return self.phi(r), -1.0 / np.asarray(r, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -506,20 +505,20 @@ def _check_points(pot, theta, w):
 
 
 def eval_potential(pot, theta, w):
-    """Normalized kernel value with manifold checks.
+    """Normalized kernel value with manifold checks: one ``phi`` call on the
+    pair argument, computed here without the pair core (tests use this path
+    as its oracle).
 
     Kernels with a singular diagonal (the raw eigenfunction form, Coulomb,
-    log) refuse zero separation.
+    log) refuse zero separation; every other Euclidean kernel has phi(0) = 1.
     """
     theta, w = _check_points(pot, theta, w)
-    if pot.manifold == EUCLIDEAN:
-        r = float(np.linalg.norm(theta - w))
-        if r < _COLLISION_GUARD:
-            if pot.raw_singular:
-                raise SingularDiagonal(f"{pot.name} diverges at zero separation")
-            return float(pot.diagonal()) if r == 0.0 else float(pot.phi_r(r))
-        return float(pot.phi_r(r))
-    return float(pot.phi_rho(float(np.dot(theta, w))))
+    if pot.manifold == SPHERE:
+        return float(pot.phi(float(np.dot(theta, w))))
+    r = float(np.linalg.norm(theta - w))
+    if pot.raw_singular and r < _COLLISION_GUARD:
+        raise SingularDiagonal(f"{pot.name} diverges at zero separation")
+    return float(pot.phi(r))
 
 
 # ---------------------------------------------------------------------------

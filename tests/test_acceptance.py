@@ -207,8 +207,8 @@ def test_05_descent_lemmas():
         if lam <= -1e-3:
             gamma = -lam
             alpha_h = min(1.0 / b3, reach / max(gamma, 1e-9))
-            obj = type("O", (), {"value": staticmethod(f), "grad": staticmethod(grad), "hess": staticmethod(lambda xx, hh=None: hess(xx))})()
-            x1, _ = hessian_descent_step(obj, x, DescentConfig(alpha=alpha_h))
+            obj = type("O", (), {"hess": staticmethod(hess)})()
+            x1, _ = hessian_descent_step(obj, x, g, DescentConfig(alpha=alpha_h))
             total += 1
             decrease = f(x) - f(x1)
             if decrease < alpha_h**2 * gamma**3 / 2.0 - 1e-10:

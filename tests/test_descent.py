@@ -38,6 +38,38 @@ saddle = FunctionObjective(
 )
 
 
+class CountingObjective:
+    """Forwards the calls gd makes and counts the value_and_grad ones."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def value_and_grad(self, x):
+        self.calls += 1
+        return self.inner.value_and_grad(x)
+
+    def project(self, x):
+        return self.inner.project(x)
+
+
+def two_call_gd(objective, x0, cfg):
+    """The former gd loop, value and gradient from separate calls; returns
+    (iteration, value, grad_norm, decrease) rows and the final point."""
+    value = lambda x: objective.value_and_grad(x)[0]
+    grad = lambda x: objective.value_and_grad(x)[1]
+    x = np.asarray(x0, dtype=float).copy()
+    v = value(x)
+    rows = []
+    for it in range(1, cfg.T + 1):
+        g = grad(x)
+        x_new = objective.project(x - cfg.alpha * g)
+        v_new = value(x_new)
+        rows.append((it, v_new, float(np.linalg.norm(g)), v - v_new))
+        x, v = x_new, v_new
+    return rows, x
+
+
 class TestGD:
     def test_single_step_on_square(self):
         obj = FunctionObjective(lambda x: float(x[0] ** 2), grad=lambda x: 2.0 * x)
@@ -67,6 +99,21 @@ class TestGD:
         norms = np.linalg.norm(vec.unpack(rep.final_x).theta, axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
+    def test_one_value_and_grad_call_per_iterate(self):
+        # gd carries (value, grad) forward: T + 1 calls in all, and the same
+        # iterates as the former loop with separate value and grad calls
+        rng = np.random.default_rng(22)
+        tgt = TargetNetwork(w=rng.standard_normal((2, 3)), b=[0.8, -0.6])
+        vec = VectorObjective(Objective(GaussianPotential(1.0), tgt), 2, 3)
+        counted = CountingObjective(vec)
+        x0 = np.concatenate([rng.uniform(-0.5, 0.5, 2), rng.standard_normal(6)])
+        cfg = DescentConfig(T=40, alpha=0.05)
+        rep = gd(counted, x0, cfg)
+        assert counted.calls == cfg.T + 1
+        rows, x = two_call_gd(vec, x0, cfg)
+        assert [(r.iteration, r.value, r.grad_norm, r.decrease) for r in rep.rows] == rows
+        np.testing.assert_array_equal(rep.final_x, x)
+
     def test_zero_trace_stride_rejected(self):
         with pytest.raises(ValueError, match="trace_stride"):
             DescentConfig(trace_stride=0)
@@ -74,19 +121,27 @@ class TestGD:
 
 class TestHessianDescentStep:
     def test_saddle_step(self):
-        x1, lam = hessian_descent_step(saddle, np.zeros(2), DescentConfig(alpha=0.1))
+        x1, lam = hessian_descent_step(saddle, np.zeros(2), np.zeros(2), DescentConfig(alpha=0.1))
         assert lam == pytest.approx(-2.0)
         assert abs(x1[1]) == pytest.approx(0.2)  # beta = -alpha*lam_min*sign(0->+1)
         assert x1[0] == 0.0
-        assert saddle.value(x1) == pytest.approx(-0.04)
+        assert saddle.value_and_grad(x1)[0] == pytest.approx(-0.04)
 
     def test_convex_formula_still_applies(self):
         obj = quadratic_objective(np.diag([2.0, 4.0]))
         x = np.array([1.0, 1.0])
-        x1, lam = hessian_descent_step(obj, x, DescentConfig(alpha=0.1))
+        x1, lam = hessian_descent_step(obj, x, obj.value_and_grad(x)[1], DescentConfig(alpha=0.1))
         assert lam == pytest.approx(2.0)
         # beta = -0.1 * 2 * sign(g . v_min); |step| = 0.2 along v_min
         assert np.linalg.norm(x1 - x) == pytest.approx(0.2)
+
+    def test_needs_only_hess(self):
+        # the caller supplies the gradient; the objective is asked for hess only
+        hess_only = type("HessOnly", (), {"hess": staticmethod(lambda x: np.diag([2.0, -2.0]))})()
+        x = np.array([0.5, 0.0])
+        x1, lam = hessian_descent_step(hess_only, x, np.array([1.0, 0.0]), DescentConfig(alpha=0.1))
+        assert lam == -2.0
+        np.testing.assert_allclose(np.abs(x1 - x), [0.0, 0.2])
 
 
 class TestSecondGD:
@@ -183,11 +238,11 @@ class TestDecreaseGuarantees:
             obj = quadratic_objective(m, rng.standard_normal(dim))
             alpha = 1.0 / b2
             x = rng.standard_normal(dim)
-            g = obj.grad(x)
+            value, g = obj.value_and_grad(x)
             eta = np.linalg.norm(g)
             if eta < 1e-9:
                 continue
-            decrease = obj.value(x) - obj.value(x - alpha * g)
+            decrease = value - obj.value_and_grad(x - alpha * g)[0]
             assert decrease >= alpha * eta**2 / 2.0 - 1e-12
 
     def test_hessian_branch_on_saddles(self):
@@ -206,9 +261,10 @@ class TestDecreaseGuarantees:
             alpha = rng.uniform(0.01, 0.2)  # any alpha: B3 = 0 for quadratics
             x = rng.standard_normal(dim)
             cfg = DescentConfig(alpha=alpha)
-            x1, lam_meas = hessian_descent_step(obj, x, cfg)
+            value, g = obj.value_and_grad(x)
+            x1, lam_meas = hessian_descent_step(obj, x, g, cfg)
             assert lam_meas == pytest.approx(lam, abs=1e-9)
-            decrease = obj.value(x) - obj.value(x1)
+            decrease = value - obj.value_and_grad(x1)[0]
             assert decrease >= alpha**2 * gamma**3 / 2.0 - 1e-10
 
 

@@ -52,11 +52,12 @@ class TestRecurrence:
             lambda_harmonic_poly(4, 1.0)
 
     def test_derivative_matches_fd(self):
-        pot = lambda_harmonic_poly(7, 2.0)
         r = np.linspace(0.3, 5, 20)
         h = 1e-6
-        fd = (pot.phi(r + h) - pot.phi(r - h)) / (2 * h)
-        np.testing.assert_allclose(pot.phi_deriv(r), fd, rtol=1e-7)
+        for lam in (2.0, 0.0):  # lam = 0: the harmonic r^-5, no exp cap
+            pot = lambda_harmonic_poly(7, lam)
+            fd = (pot.phi(r + h) - pot.phi(r - h)) / (2 * h)
+            np.testing.assert_allclose(pot.phi_and_deriv(r)[1], fd, rtol=1e-7)
 
 
 class TestRadialLaplacian:
@@ -297,10 +298,15 @@ class TestKnotLookup:
             warnings.simplefilter("error")
             val = tab.value(r)
             val2, der = tab.value_and_deriv(r)
-            assert tab.value_and_deriv(np.inf) == (0.0, 0.0)
             assert np.isnan(tab.value(np.nan))
-            for d in (3, 7):
-                assert lambda_harmonic_poly(d, 1.0).phi_and_deriv(np.inf) == (0.0, 0.0)
+            beyond = (np.inf, 1e160, 1e300)
+            for far in beyond:
+                assert tab.value_and_deriv(far) == (0.0, 0.0)
+            for d in (3, 7, 11):
+                radial = lambda_harmonic_poly(d, 1.0)
+                assert np.isnan(radial.phi(np.nan))
+                for far in beyond:
+                    assert radial.phi(far) == 0.0 and radial.phi_and_deriv(far) == (0.0, 0.0)
         np.testing.assert_array_equal(val, val2)
         assert np.isnan(val[[0, 4]]).all() and np.isnan(der[[0, 4]]).all()
         assert val[2] == 0.0 and der[2] == 0.0

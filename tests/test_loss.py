@@ -122,8 +122,8 @@ class TestGradient:
             vec = VectorObjective(obj, 2, 3)
             for _ in range(25):
                 x = rng.standard_normal(vec.dim)
-                g = vec.grad(x)
-                g_fd = fd_gradient(vec.value, x)
+                _, g = vec.value_and_grad(x)
+                g_fd = fd_gradient(lambda y: vec.value_and_grad(y)[0], x)
                 denom = max(1.0, float(np.max(np.abs(g))))
                 assert np.max(np.abs(g - g_fd)) / denom <= 1e-5
 
@@ -168,10 +168,10 @@ class TestGradient:
             th = rng.standard_normal((k, 4))
             th /= np.linalg.norm(th, axis=1, keepdims=True)
             x = vec.pack(Hypothesis(theta=th, a=rng.uniform(-1, 1, k)))
-            g_fd = fd_gradient(vec.value, x)
+            g_fd = fd_gradient(lambda y: vec.value_and_grad(y)[0], x)
             gt_fd = g_fd[k:].reshape(k, 4)
             g_fd[k:] = (gt_fd - np.sum(gt_fd * th, axis=1, keepdims=True) * th).ravel()
-            g = vec.grad(x)
+            _, g = vec.value_and_grad(x)
             assert np.max(np.abs(g - g_fd)) / max(1.0, float(np.max(np.abs(g)))) <= 1e-5
 
     @pytest.mark.parametrize("kind", ["coulomb", "log"])
@@ -225,8 +225,6 @@ class TestNodeObjective:
             block_loss = lambda y: obj.loss(Hypothesis(theta=y[None, 1:], a=y[:1]))
             val, g = node.value_and_grad(x)
             assert val == pytest.approx(block_loss(x), rel=1e-12, abs=1e-12)
-            assert node.value(x) == val
-            np.testing.assert_array_equal(node.grad(x), g)
             np.testing.assert_allclose(g, fd_gradient(block_loss, x, h=1e-6), rtol=1e-6, atol=1e-8)
 
     def test_zero_separation(self):

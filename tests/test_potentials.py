@@ -268,6 +268,18 @@ class TestPairCore:
                        for e in basis])
         return basis, fd
 
+    @pytest.mark.parametrize("kind", IDS + ["explh:lambda=1,d=7"])
+    def test_value_and_slope_contract(self, kind, almost_table):
+        # phi_and_dphi's value is phi's, bit for bit; its slope matches
+        # central differences of phi in the pair argument
+        pot = self.kernel(kind, almost_table)
+        s = np.linspace(-0.9, 0.9, 37) if pot.manifold == "sphere" else np.linspace(0.3, 25.0, 60)
+        val, slope = pot.phi_and_dphi(s)
+        np.testing.assert_array_equal(val, pot.phi(s))
+        h = 1e-6
+        fd = (pot.phi(s + h) - pot.phi(s - h)) / (2 * h)
+        np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-8)
+
     @pytest.mark.parametrize("kind", IDS)
     def test_blocks_match_scalar_oracle(self, kind, almost_table):
         pot = self.kernel(kind, almost_table)
@@ -304,12 +316,12 @@ class TestPairDistances:
         x, y = rng.standard_normal((2000, 3)) * 7.0, rng.standard_normal((5, 3)) * 3.0
         np.testing.assert_array_equal(pair_distances(x, y), self.block_oracle(x, y))
         pot = GaussianPotential(0.3)
-        np.testing.assert_array_equal(pot.pairwise(x, y), pot.phi_r(self.block_oracle(x, y)))
+        np.testing.assert_array_equal(pot.pairwise(x, y), pot.phi(self.block_oracle(x, y)))
         k, g = pot.pairwise_grad(x[:40], y)
         np.testing.assert_array_equal(k, pot.pairwise(x[:40], y))
         dist = self.block_oracle(x[:40], y)
         vec = x[:40, None, :] - y[None, :, :]
-        np.testing.assert_array_equal(g, (pot.dphi_r(dist) / dist)[:, :, None] * vec)
+        np.testing.assert_array_equal(g, (pot.phi_and_dphi(dist)[1] / dist)[:, :, None] * vec)
 
     def test_close_at_d10(self):
         rng = np.random.default_rng(42)

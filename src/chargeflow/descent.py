@@ -147,39 +147,60 @@ def min_eigpair(h):
     return float(vals[0]), vecs[:, 0]
 
 
-def gd(objective, x0, cfg: DescentConfig):
-    """Plain gradient descent: T steps of x <- project(x - alpha * grad), one
-    ``value_and_grad`` call per iterate.
+def _descend(objective, x0, cfg: DescentConfig, second_order):
+    """The one descent iteration, one ``value_and_grad`` call per iterate.
 
-    A kernel kink or solver failure at a new iterate ends the run at the
-    previous one, recorded on the report instead of propagating."""
+    Each step is x <- project(x - alpha * grad). With ``second_order`` a
+    gradient smaller than eta takes :func:`hessian_descent_step` instead, and
+    the run stops at the PREVIOUS iterate as soon as an iteration fails to
+    decrease the objective by ``cfg.min_decrease()``. A kernel kink or solver
+    failure at a new iterate ends the run at the previous one, recorded on
+    the report instead of propagating."""
     x = np.asarray(x0, dtype=float).copy()
     report = DescentReport()
     value, g = objective.value_and_grad(x)
+    threshold = cfg.min_decrease()
     for it in range(1, cfg.T + 1):
+        gnorm = float(np.linalg.norm(g))
+        lam_min = float("nan")
         try:
-            x_new = objective.project(x - cfg.alpha * g)
+            if not second_order or gnorm >= cfg.eta:
+                branch = "grad"
+                x_new = x - cfg.alpha * g
+            else:
+                branch = "hessian"
+                x_new, lam_min = hessian_descent_step(objective, x, g, cfg)
+            x_new = objective.project(x_new)
             new_value, g_new = objective.value_and_grad(x_new)
         except ChargeflowError as exc:
             report.termination = "error"
             report.error = str(exc)
             break
-        if it % cfg.trace_stride == 0 or it == cfg.T:
+        report.iterations = it
+        stop = second_order and new_value >= value - threshold
+        if it % cfg.trace_stride == 0 or stop or it == cfg.T:
             report.rows.append(
                 IterationRecord(
                     iteration=it,
                     value=new_value,
-                    grad_norm=float(np.linalg.norm(g)),
-                    lambda_min=float("nan"),
-                    branch="grad",
+                    grad_norm=gnorm,
+                    lambda_min=lam_min,
+                    branch=branch,
                     decrease=value - new_value,
                 )
             )
+        if stop:
+            report.termination = "early_stop"
+            break
         x, value, g = x_new, new_value, g_new
-        report.iterations = it
     report.final_x = x
     report.final_value = value
     return report
+
+
+def gd(objective, x0, cfg: DescentConfig):
+    """Plain gradient descent: T steps of x <- project(x - alpha * grad)."""
+    return _descend(objective, x0, cfg, second_order=False)
 
 
 def hessian_descent_step(objective, x, g, cfg: DescentConfig):
@@ -201,50 +222,8 @@ def hessian_descent_step(objective, x, g, cfg: DescentConfig):
 def second_gd(objective, x0, cfg: DescentConfig):
     """Gradient steps while the gradient is large, one negative-curvature step
     otherwise; stop and return the PREVIOUS iterate as soon as an iteration
-    fails to decrease the objective by min(alpha eta^2/2, alpha^2 gamma^3/2).
-    A kernel kink or solver failure at a new iterate ends the run at the
-    previous one, recorded on the report.
-    """
-    x_prev = np.asarray(x0, dtype=float).copy()
-    report = DescentReport()
-    v_prev, g = objective.value_and_grad(x_prev)
-    threshold = cfg.min_decrease()
-    for it in range(1, cfg.T + 1):
-        gnorm = float(np.linalg.norm(g))
-        lam_min = float("nan")
-        try:
-            if gnorm >= cfg.eta:
-                branch = "grad"
-                x_new = x_prev - cfg.alpha * g
-            else:
-                branch = "hessian"
-                x_new, lam_min = hessian_descent_step(objective, x_prev, g, cfg)
-            x_new = objective.project(x_new)
-            v_new, g_new = objective.value_and_grad(x_new)
-        except ChargeflowError as exc:
-            report.termination = "error"
-            report.error = str(exc)
-            break
-        decrease = v_prev - v_new
-        report.iterations = it
-        if it % cfg.trace_stride == 0 or v_new >= v_prev - threshold or it == cfg.T:
-            report.rows.append(
-                IterationRecord(
-                    iteration=it,
-                    value=v_new,
-                    grad_norm=gnorm,
-                    lambda_min=lam_min,
-                    branch=branch,
-                    decrease=decrease,
-                )
-            )
-        if v_new >= v_prev - threshold:
-            report.termination = "early_stop"
-            break
-        x_prev, v_prev, g = x_new, v_new, g_new
-    report.final_x = x_prev
-    report.final_value = v_prev
-    return report
+    fails to decrease the objective by min(alpha eta^2/2, alpha^2 gamma^3/2)."""
+    return _descend(objective, x0, cfg, second_order=True)
 
 
 def stationarity_check(objective, x, eps):

@@ -123,20 +123,19 @@ class LambdaHarmonicRadial:
     def s(self):
         return float(np.sqrt(self.lam))
 
-    @cached_property
-    def _r_cap(self):
-        """Radius past which exp(-s r) is 0; with lam = 0 it never is."""
-        return _EXP_UNDERFLOW / self.s if self.s > 0 else np.inf
-
     def _capped(self, r):
-        """(r capped at ``_r_cap``, exp(-s r)). The factors other than the
-        exp take the capped r, so r = inf gives +-0 rather than inf * 0, and
-        no power of r overflows."""
+        """(r capped where exp(-s r) becomes 0, exp(-s r)), for lam > 0. The
+        factors other than the exp take the capped r, so r = inf gives +-0
+        rather than inf * 0, and no power of r overflows."""
         r = np.asarray(r, dtype=float)
-        e = np.exp(-self.s * r)  # before the capped copy: one fewer live array
-        return np.minimum(r, self._r_cap), e
+        s = self.s
+        e = np.exp(-s * r)  # before the capped copy: one fewer live array
+        return np.minimum(r, _EXP_UNDERFLOW / s), e
 
     def phi(self, r):
+        if self.lam == 0:
+            # p = 1: the harmonic r^(2-d), which underflows to 0 unaided
+            return np.asarray(r, dtype=float) ** (2 - self.d)
         # init scoring calls this on millions of radii: working in place on
         # the two fresh arrays keeps recovery's peak memory where it was
         r, e = self._capped(r)
@@ -147,6 +146,9 @@ class LambdaHarmonicRadial:
 
     def phi_and_deriv(self, r):
         """(phi, phi') sharing one exp(-s r)."""
+        if self.lam == 0:
+            r = np.asarray(r, dtype=float)
+            return r ** (2 - self.d), (2 - self.d) * r ** (1 - self.d)
         r, e = self._capped(r)
         val = _poly_eval(self.coeffs, r) * e / r ** (self.d - 2)
         return val, -_poly_eval(self._slope_poly, r) * e / r ** (self.d - 1)
@@ -185,6 +187,8 @@ def lambda_harmonic_poly(d, lam):
         raise EvenDimension(f"odd dimension required, got d={d}")
     if d < 3:
         raise UnsupportedDimension(f"d >= 3 required, got d={d}")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     s = float(np.sqrt(lam))
     k = (d - 3) // 2
     a = np.zeros(k + 1)

@@ -217,47 +217,35 @@ def poly_orthonormal_check(l, d, theta, b, tol=1e-4, fd_step=1e-3):
         raise NotACriticalPoint(f"|tangent gradient| = {np.linalg.norm(grad):g}")
 
     support = np.nonzero(np.abs(theta) > 1e-12)[0]
-    digest = _digest(l=l, d=d, theta=theta, b=b)
+    measured = {"a": a}
+    passed, note = True, ""
     if len(support) < 2:
-        return LandscapeVerdict(
-            check="poly-orthonormal",
-            digest=digest,
-            measured={"a": a, "support": int(len(support))},
-            passed=True,
-            tol=tol,
-            note="single nonzero coordinate: global-minimum candidate, no witness required",
-        )
-    i, j = int(support[0]), int(support[1])
-    v = np.zeros(d)
-    v[i], v[j] = theta[j], -theta[i]
-    v /= np.linalg.norm(v)
-    predicted = -2.0 * (l - 2) * l * a * a
+        measured["support"] = int(len(support))
+        note = "single nonzero coordinate: global-minimum candidate, no witness required"
+    else:
+        i, j = int(support[0]), int(support[1])
+        v = np.zeros(d)
+        v[i], v[j] = theta[j], -theta[i]
+        v /= np.linalg.norm(v)
 
-    def path_loss(t):
-        p = theta + t * v
-        p = p / np.linalg.norm(p)
-        return a * a + 2.0 * a * float(b @ p**l)
+        def path_loss(t):
+            p = theta + t * v
+            p = p / np.linalg.norm(p)
+            return a * a + 2.0 * a * float(b @ p**l)
 
-    measured = (path_loss(fd_step) - 2.0 * path_loss(0.0) + path_loss(-fd_step)) / fd_step**2
-    if abs(a) < 1e-12:
-        return LandscapeVerdict(
-            check="poly-orthonormal",
-            digest=digest,
-            measured={"a": a, "curvature": float(measured)},
-            passed=True,
-            tol=tol,
-            note="a = 0: zero curvature; the descent path reaches this with probability zero",
-        )
-    err = abs(measured - predicted) / abs(predicted)
+        curvature = (path_loss(fd_step) - 2.0 * path_loss(0.0) + path_loss(-fd_step)) / fd_step**2
+        measured["curvature"] = float(curvature)
+        if abs(a) < 1e-12:
+            note = "a = 0: zero curvature; the descent path reaches this with probability zero"
+        else:
+            predicted = -2.0 * (l - 2) * l * a * a
+            measured.update(predicted=float(predicted), witness=[i, j])
+            passed = bool(abs(curvature - predicted) / abs(predicted) <= tol and curvature < 0)
     return LandscapeVerdict(
         check="poly-orthonormal",
-        digest=digest,
-        measured={
-            "a": a,
-            "curvature": float(measured),
-            "predicted": float(predicted),
-            "witness": [i, j],
-        },
-        passed=bool(err <= tol and measured < 0),
+        digest=_digest(l=l, d=d, theta=theta, b=b),
+        measured=measured,
+        passed=passed,
         tol=tol,
+        note=note,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonDifferentiablePoint, SingularDiagonal
-from .potentials import _COLLISION_GUARD, SPHERE, Potential
+from .potentials import _COLLISION_GUARD, SPHERE, Potential, check_unit_rows
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,7 @@ class Objective:
         self.target = target
         self.regularization = regularization
         if potential.manifold == SPHERE:
-            norms = np.linalg.norm(target.w, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-12):
-                raise DimensionMismatch("sphere kernel requires unit target weights")
+            check_unit_rows(target.w, f"{potential.name} target weights")
         # infinite self-energy is omitted (constant; see module docstring)
         self_energy = potential.diagonal() if potential.finite_diagonal else 0.0
         self._quad = self_energy + (1.0 if regularization == "charge" else 0.0)

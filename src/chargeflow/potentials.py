@@ -193,12 +193,11 @@ class SignPotential(Potential):
 class GaussianPotential(Potential):
     """exp(-c r^2 / 2); strictly positive Laplacian outside r^2 = d/c."""
 
-    manifold = EUCLIDEAN
     smooth_origin = True
 
     def __init__(self, c=1.0):
-        if c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 < c < np.inf:
+            raise ValueError(f"c must be positive and finite, got {c}")
         self.c = float(c)
         self.name = f"gauss:c={c:g}"
 
@@ -218,7 +217,6 @@ class ExpLambdaHarmonicPotential(Potential):
     uses for the self-terms.
     """
 
-    manifold = EUCLIDEAN
     raw_singular = True
 
     def __init__(self, lam=1.0, d=3):
@@ -278,8 +276,6 @@ class HermiteDualPotential(Potential):
 class AlmostHarmonicPotential(Potential):
     """Bounded tabulated kernel, exact Laplacian eigenfunction for r >= eps."""
 
-    manifold = EUCLIDEAN
-
     def __init__(self, table: harmonic.TabulatedPotential):
         self.table = table
         self.eps = table.eps
@@ -297,9 +293,9 @@ class AlmostHarmonicPotential(Potential):
 class LaplaceExpPotential(Potential):
     """exp(-sqrt(lam) r); the one-dimensional Laplacian eigenfunction kernel."""
 
-    manifold = EUCLIDEAN
-
     def __init__(self, lam=1.0):
+        if not 0 <= lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
         self.lam = float(lam)
         self.s = float(np.sqrt(lam))
         self.name = f"exp1d:lambda={lam:g}"
@@ -315,7 +311,6 @@ class LaplaceExpPotential(Potential):
 class CoulombPotential(Potential):
     """Diagnostic harmonic kernel r^(2-d) (d != 2); not realizable."""
 
-    manifold = EUCLIDEAN
     finite_diagonal = False
     raw_singular = True
 
@@ -335,7 +330,6 @@ class CoulombPotential(Potential):
 class LogPotential(Potential):
     """Diagnostic harmonic kernel -log r in two dimensions; not realizable."""
 
-    manifold = EUCLIDEAN
     finite_diagonal = False
     raw_singular = True
 
@@ -489,6 +483,13 @@ def min_separation(x, y=None):
 # ---------------------------------------------------------------------------
 
 
+def check_unit_rows(x, what):
+    """Raise OffManifold unless every row of x has unit norm (to 1e-12)."""
+    norms = np.linalg.norm(np.atleast_2d(x), axis=-1)
+    if np.any(np.abs(norms - 1.0) > 1e-12):
+        raise OffManifold(f"{what} must have unit norm, got |v| = {norms.tolist()}")
+
+
 def _check_points(pot, theta, w):
     theta = np.asarray(theta, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -498,9 +499,7 @@ def _check_points(pot, theta, w):
     if d is not None and theta.shape[0] != d:
         raise DimensionMismatch(f"{pot.name} expects dimension {d}, got {theta.shape[0]}")
     if pot.manifold == SPHERE:
-        for v in (theta, w):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise OffManifold(f"|v| = {np.linalg.norm(v)} != 1")
+        check_unit_rows([theta, w], f"{pot.name} kernel points")
     return theta, w
 
 
@@ -548,9 +547,7 @@ def empirical_dual(act, theta, w, n, seed, paired=None):
     if theta.shape != (act.d,) or w.shape != (act.d,):
         raise DimensionMismatch(f"weights must have shape ({act.d},)")
     if act.manifold == SPHERE:
-        for v in (theta, w):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise OffManifold("sphere activation needs unit weights")
+        check_unit_rows([theta, w], f"{act.name} activation weights")
     if paired is None:
         paired = act.has_log_eval
 
@@ -649,12 +646,33 @@ def realizability_certificate_radial(r, values, d, tol=1e-6, omega=None, n_omega
 # ---------------------------------------------------------------------------
 
 
-def _parse_args(argstr):
+# the keys each kernel id accepts; "d" and "l" take integers
+_ID_KEYS = {
+    "sign": (),
+    "gauss": ("c",),
+    "explh": ("lambda", "d"),
+    "poly": ("l",),
+    "almost": ("eps", "lambda", "d"),
+    "exp1d": ("lambda",),
+    "coulomb": ("d",),
+    "log": (),
+}
+
+
+def _parse_args(head, argstr):
     out = {}
-    if argstr:
-        for part in argstr.split(","):
-            key, _, val = part.partition("=")
-            out[key.strip()] = float(val)
+    for part in argstr.split(",") if argstr else ():
+        key, _, val = (t.strip() for t in part.partition("="))
+        if key not in _ID_KEYS[head] or key in out:
+            raise ValueError(f"{head}: {'repeated' if key in out else 'unknown'} key {key!r}")
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise ValueError(f"{head}: {key} must be a number, got {val!r}") from None
+        if key in ("d", "l"):
+            if not out[key].is_integer():
+                raise ValueError(f"{head}: {key} must be an integer, got {val}")
+            out[key] = int(out[key])
     return out
 
 
@@ -664,28 +682,28 @@ def parse_potential(identifier, table_loader=None):
     Ids: "sign", "gauss:c=1.0", "explh:lambda=1,d=3", "poly:l=3",
     "almost:eps=0.1,lambda=1,d=3", "exp1d:lambda=1", "coulomb:d=3", "log".
     ``table_loader(d, eps, lam)`` supplies the tabulation for "almost" kinds
-    (defaults to the on-disk cache).
+    (defaults to the on-disk cache). An unknown or repeated key, a
+    non-integer ``d`` or ``l`` and an out-of-range value raise ValueError
+    naming the key.
     """
     head, _, rest = identifier.partition(":")
-    args = _parse_args(rest)
+    if head not in _ID_KEYS:
+        raise ValueError(f"unknown potential id {identifier!r}")
+    args = _parse_args(head, rest)
     if head == "sign":
         return SignPotential()
     if head == "gauss":
         return GaussianPotential(c=args.get("c", 1.0))
     if head == "explh":
-        return ExpLambdaHarmonicPotential(lam=args.get("lambda", 1.0), d=int(args.get("d", 3)))
+        return ExpLambdaHarmonicPotential(lam=args.get("lambda", 1.0), d=args.get("d", 3))
     if head == "poly":
-        return PolynomialPotential(l=int(args.get("l", 1)))
+        return PolynomialPotential(l=args.get("l", 1))
     if head == "almost":
         loader = table_loader or harmonic.load_or_build_almost_harmonic
-        table = loader(
-            int(args.get("d", 3)), args.get("eps", 0.1), args.get("lambda", 1.0)
-        )
+        table = loader(args.get("d", 3), args.get("eps", 0.1), args.get("lambda", 1.0))
         return AlmostHarmonicPotential(table)
     if head == "exp1d":
         return LaplaceExpPotential(lam=args.get("lambda", 1.0))
     if head == "coulomb":
-        return CoulombPotential(d=int(args.get("d", 3)))
-    if head == "log":
-        return LogPotential()
-    raise ValueError(f"unknown potential id {identifier!r}")
+        return CoulombPotential(d=args.get("d", 3))
+    return LogPotential()

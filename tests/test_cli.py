@@ -189,3 +189,8 @@ class TestMisc:
 
     def test_bad_potential_id_exit_code(self, capsys):
         assert main(["potential-info", "--potential", "nope"]) == 1
+
+    def test_bad_kernel_parameter_exit_code(self, capsys):
+        assert main(["potential-info", "--potential", "exp1d:lambda=-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lambda" in err

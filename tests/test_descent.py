@@ -16,7 +16,13 @@ from chargeflow.descent import (
     second_gd,
     stationarity_check,
 )
-from chargeflow.errors import DimensionMismatch, EigenSolveFailure, InitializationFailed
+from chargeflow.errors import (
+    ChargeflowError,
+    DimensionMismatch,
+    EigenSolveFailure,
+    InitializationFailed,
+    NonDifferentiablePoint,
+)
 from chargeflow.loss import Objective, TargetNetwork, VectorObjective
 from chargeflow.potentials import GaussianPotential, parse_potential
 
@@ -39,15 +45,21 @@ saddle = FunctionObjective(
 
 
 class CountingObjective:
-    """Forwards the calls gd makes and counts the value_and_grad ones."""
+    """Forwards the descent contract and counts the value_and_grad and hess
+    calls."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self.hess_calls = 0
 
     def value_and_grad(self, x):
         self.calls += 1
         return self.inner.value_and_grad(x)
+
+    def hess(self, x):
+        self.hess_calls += 1
+        return self.inner.hess(x)
 
     def project(self, x):
         return self.inner.project(x)
@@ -68,6 +80,127 @@ def two_call_gd(objective, x0, cfg):
         rows.append((it, v_new, float(np.linalg.norm(g)), v - v_new))
         x, v = x_new, v_new
     return rows, x
+
+
+def former_second_gd(objective, x0, cfg):
+    """The former second_gd loop, written out on its own."""
+    x_prev = np.asarray(x0, dtype=float).copy()
+    report = DescentReport()
+    v_prev, g = objective.value_and_grad(x_prev)
+    threshold = cfg.min_decrease()
+    for it in range(1, cfg.T + 1):
+        gnorm = float(np.linalg.norm(g))
+        lam_min = float("nan")
+        try:
+            if gnorm >= cfg.eta:
+                branch = "grad"
+                x_new = x_prev - cfg.alpha * g
+            else:
+                branch = "hessian"
+                x_new, lam_min = hessian_descent_step(objective, x_prev, g, cfg)
+            x_new = objective.project(x_new)
+            v_new, g_new = objective.value_and_grad(x_new)
+        except ChargeflowError as exc:
+            report.termination = "error"
+            report.error = str(exc)
+            break
+        decrease = v_prev - v_new
+        report.iterations = it
+        if it % cfg.trace_stride == 0 or v_new >= v_prev - threshold or it == cfg.T:
+            report.rows.append(
+                IterationRecord(
+                    iteration=it,
+                    value=v_new,
+                    grad_norm=gnorm,
+                    lambda_min=lam_min,
+                    branch=branch,
+                    decrease=decrease,
+                )
+            )
+        if v_new >= v_prev - threshold:
+            report.termination = "early_stop"
+            break
+        x_prev, v_prev, g = x_new, v_new, g_new
+    report.final_x = x_prev
+    report.final_value = v_prev
+    return report
+
+
+def kinked_square():
+    """x . x whose gradient raises once x[0] drops below 0.5."""
+
+    def kinked_grad(x):
+        if x[0] < 0.5:
+            raise NonDifferentiablePoint("kink reached")
+        return 2.0 * x
+
+    return FunctionObjective(lambda x: float(x @ x), grad=kinked_grad)
+
+
+def gaussian_two_branch_run(trace_stride=1):
+    """A Gaussian-kernel descent that takes both branches and early-stops."""
+    rng = np.random.default_rng(4)
+    tgt = TargetNetwork(w=rng.standard_normal((2, 3)), b=[0.8, -0.6])
+    vec = VectorObjective(Objective(GaussianPotential(1.0), tgt), 2, 3)
+    x0 = np.concatenate([rng.uniform(-0.5, 0.5, 2), rng.standard_normal(6)])
+    cfg = DescentConfig(T=2000, alpha=0.2, eta=0.05, gamma=0.1, trace_stride=trace_stride)
+    return vec, x0, cfg
+
+
+def spd_quadratic_runs():
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        m = rng.standard_normal((4, 4))
+        m = m @ m.T + 0.5 * np.eye(4)
+        cfg = DescentConfig(T=2000, alpha=0.5 / np.linalg.norm(m, 2), eta=1e-2, gamma=1e-2)
+        yield quadratic_objective(m, rng.standard_normal(4)), rng.standard_normal(4), cfg
+
+
+def assert_matches_former_loop(objective, x0, cfg):
+    """Run second_gd and check it against the former loop, bit for bit."""
+    want = former_second_gd(objective, x0, cfg)
+    rep = second_gd(objective, x0, cfg)
+    assert rep.to_jsonl() == want.to_jsonl()  # rows, termination, iterations, error
+    np.testing.assert_array_equal(rep.final_x, want.final_x)
+    assert rep.final_value == want.final_value
+    return rep
+
+
+class TestOneLoop:
+    """second_gd against the former loop on each way a run can end."""
+
+    def test_spd_quadratics_early_stop(self):
+        for objective, x0, cfg in spd_quadratic_runs():
+            rep = assert_matches_former_loop(objective, x0, cfg)
+            assert rep.termination == "early_stop" and rep.rows[-1].branch == "hessian"
+
+    def test_kinked_gradient_ends_in_error(self):
+        cfg = DescentConfig(T=50, alpha=0.2, eta=1e-6, gamma=1e-3)
+        rep = assert_matches_former_loop(kinked_square(), np.array([1.0, 0.0]), cfg)
+        assert rep.termination == "error"
+
+    def test_early_stop_between_strides(self):
+        rep = assert_matches_former_loop(*gaussian_two_branch_run(trace_stride=7))
+        assert rep.termination == "early_stop" and rep.iterations % 7 != 0
+        assert rep.rows[-1].iteration == rep.iterations
+
+    def test_gaussian_run_takes_both_branches(self):
+        rep = assert_matches_former_loop(*gaussian_two_branch_run())
+        branches = [r.branch for r in rep.rows]
+        assert branches.count("hessian") > 1 and branches.count("grad") > 1
+        assert all(np.isnan(r.lambda_min) == (r.branch == "grad") for r in rep.rows)
+
+    def test_one_value_and_grad_per_attempt_and_hess_per_hessian_step(self):
+        vec, x0, cfg = gaussian_two_branch_run()
+        counted = CountingObjective(vec)
+        rep = second_gd(counted, x0, cfg)
+        assert counted.calls == rep.iterations + 1
+        assert counted.hess_calls == sum(r.branch == "hessian" for r in rep.rows) > 0
+        # the failed attempt made its call too
+        counted = CountingObjective(kinked_square())
+        rep = second_gd(counted, np.array([1.0, 0.0]), DescentConfig(T=50, alpha=0.2, eta=1e-6))
+        assert rep.termination == "error"
+        assert counted.calls == rep.iterations + 2 and counted.hess_calls == 0
 
 
 class TestGD:
@@ -157,7 +290,7 @@ class TestSecondGD:
 
     def test_saddle_takes_hessian_branch_first(self):
         cfg = DescentConfig(T=5, alpha=0.1, eta=0.5, gamma=0.1)
-        rep = second_gd(saddle, np.zeros(2), cfg)
+        rep = assert_matches_former_loop(saddle, np.zeros(2), cfg)
         assert rep.rows[0].branch == "hessian"
 
     def test_every_recorded_nonterminal_iteration_decreases(self):
@@ -183,17 +316,9 @@ class TestSecondGD:
         assert rep.iterations == 1
 
     def test_kink_mid_trajectory_truncates_with_error(self):
-        from chargeflow.errors import NonDifferentiablePoint
-
-        def kinked_grad(x):
-            if x[0] < 0.5:
-                raise NonDifferentiablePoint("kink reached")
-            return 2.0 * x
-
         cfg = DescentConfig(T=50, alpha=0.2, eta=1e-6, gamma=1e-3)
         for driver in (gd, second_gd):
-            obj = FunctionObjective(lambda x: float(x @ x), grad=kinked_grad)
-            rep = driver(obj, np.array([1.0, 0.0]), cfg)
+            rep = driver(kinked_square(), np.array([1.0, 0.0]), cfg)
             assert rep.termination == "error"
             assert "kink" in rep.error
             assert rep.final_x[0] >= 0.3  # last good iterate, not the bad one

@@ -307,6 +307,19 @@ class TestKnotLookup:
                 assert np.isnan(radial.phi(np.nan))
                 for far in beyond:
                     assert radial.phi(far) == 0.0 and radial.phi_and_deriv(far) == (0.0, 0.0)
+            for d in (3, 5, 7):
+                # lam = 0: the harmonic r^(2-d), no exp cap
+                radial = lambda_harmonic_poly(d, 0.0)
+                assert radial.phi(np.inf) == 0.0
+                val_inf, der_inf = radial.phi_and_deriv(np.inf)
+                assert val_inf == 0.0 and der_inf == 0.0 and np.signbit(der_inf)
+                far = np.array([1e10, 1e100, 1e150, 1e300])
+                want = [1e-10 ** (d - 2), 1e-100 ** (d - 2), 1e-150 ** (d - 2), 0.0]
+                if d == 3:
+                    want[-1] = 1e-300
+                    assert radial.phi(1e300) == 1e-300
+                np.testing.assert_allclose(radial.phi(far), want, rtol=1e-14, atol=0)
+                np.testing.assert_array_equal(radial.phi_and_deriv(far)[0], radial.phi(far))
         np.testing.assert_array_equal(val, val2)
         assert np.isnan(val[[0, 4]]).all() and np.isnan(der[[0, 4]]).all()
         assert val[2] == 0.0 and der[2] == 0.0

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from chargeflow.errors import DimensionMismatch, NonDifferentiablePoint, SingularDiagonal
+from chargeflow.errors import (
+    DimensionMismatch,
+    NonDifferentiablePoint,
+    OffManifold,
+    SingularDiagonal,
+)
 from chargeflow.loss import (
     Hypothesis,
     NodeObjective,
@@ -96,6 +101,11 @@ class TestLossValue:
         obj = rand_objective(rng, d=3)
         with pytest.raises(DimensionMismatch):
             obj.loss(Hypothesis(theta=np.zeros((1, 4)), a=[1.0]))
+
+    def test_non_unit_sphere_target(self):
+        # the same unit-norm check, and error type, as eval_potential
+        with pytest.raises(OffManifold, match="poly:l=3"):
+            Objective(parse_potential("poly:l=3"), TargetNetwork(w=[[0.6, 0.8, 0.1]], b=[1.0]))
 
     def test_singular_kernel_collision(self):
         pot = ExpLambdaHarmonicPotential(1.0, 3)

@@ -11,6 +11,7 @@ from chargeflow.errors import (
     SingularDiagonal,
     UnsupportedDimension,
 )
+from chargeflow.harmonic import lambda_harmonic_poly
 from chargeflow.potentials import (
     AlmostHarmonicPotential,
     BesselK0Activation,
@@ -402,6 +403,29 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(ValueError):
             parse_potential("mystery:x=1")
+
+    @pytest.mark.parametrize(
+        "build,key",
+        [
+            ("explh:lamda=4,d=3", "lamda"),
+            ("gauss:sigma=3", "sigma"),
+            ("gauss:c=1,c=2", "c"),
+            ("gauss:c", "c"),
+            ("poly:l=2.5", "l"),
+            ("coulomb:d=3.5", "d"),
+            ("gauss:c=-1", "c"),
+            ("gauss:c=nan", "c"),
+            ("exp1d:lambda=-1", "lambda"),
+            ("explh:lambda=inf,d=3", "lambda"),
+            (lambda: GaussianPotential(np.inf), "c"),
+            (lambda: LaplaceExpPotential(-1.0), "lambda"),
+            (lambda: lambda_harmonic_poly(3, np.nan), "lambda"),
+        ],
+    )
+    def test_bad_parameter_names_the_key(self, build, key):
+        # an id goes through parse_potential; a callable is a library call
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            parse_potential(build) if isinstance(build, str) else build()
 
 
 class TestBesselK1:

@@ -352,6 +352,8 @@ def coerce(key, val):
     if kind is int:
         return int(val)
     if kind is bool:
+        if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(f"{key} must be true/false/yes/no/1/0, got {val!r}")
         return val.lower() in ("1", "true", "yes")
     if kind is str:
         return val

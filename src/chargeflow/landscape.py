@@ -74,16 +74,13 @@ def _digest(**config):
 def earnshaw_trace_check(potential, target: TargetNetwork, hyp: Hypothesis, i, tol=1e-4, h=5e-4):
     """Trace of the theta_i Hessian block; vanishes for harmonic kernels.
 
-    Harmonic kernels (inverse-power in d != 2, log in d = 2) must pass;
-    running a non-harmonic kernel marks the verdict expected-fail so the
-    control case documents that the test discriminates.
+    Harmonic kernels (Coulomb, log; the objective holds each to its own
+    dimension) must pass; running a non-harmonic kernel marks the verdict
+    expected-fail so the control case documents that the test discriminates.
     """
     if min(min_separation(hyp.theta), min_separation(hyp.theta, target.w)) < _R_MIN:
         raise TooCloseToSingularity(f"pairwise distance below {_R_MIN}")
-    d = target.d
-    harmonic_kernel = (
-        isinstance(potential, CoulombPotential) and potential.d == d and d != 2
-    ) or (isinstance(potential, LogPotential) and d == 2)
+    harmonic_kernel = isinstance(potential, (CoulombPotential, LogPotential))
     obj = Objective(potential, target)
     trace = theta_laplacian(obj, hyp, i, h=h)
     passed = abs(trace) <= tol
@@ -98,7 +95,7 @@ def earnshaw_trace_check(potential, target: TargetNetwork, hyp: Hypothesis, i, t
     )
 
 
-def eigstrict_laplacian_check(lam, target: TargetNetwork, theta, tol=1e-3, h=1e-3, d=3):
+def eigstrict_laplacian_check(lam, target: TargetNetwork, theta, tol=1e-3, h=1e-3):
     """Laplacian of the correlated translation of the first node's coincidence
     class at the exact outer-weight optimum.
 
@@ -112,7 +109,7 @@ def eigstrict_laplacian_check(lam, target: TargetNetwork, theta, tol=1e-3, h=1e-
         raise DegenerateCluster("coincident mobile nodes")
     if min_separation(theta, target.w) < _R_MIN:
         raise TooCloseToSingularity("mobile node too close to a fixed charge")
-    pot = ExpLambdaHarmonicPotential(lam=lam, d=d)
+    pot = ExpLambdaHarmonicPotential(lam=lam, d=target.d)
     obj = Objective(pot, target)
     a = obj.solve_optimal_a(theta)
     predicted = -2.0 * lam * float(a[0]) ** 2

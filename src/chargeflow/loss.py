@@ -84,6 +84,7 @@ class Objective:
         self.potential = potential
         self.target = target
         self.regularization = regularization
+        potential.check_dimension(target.d)
         if potential.manifold == SPHERE:
             check_unit_rows(target.w, f"{potential.name} target weights")
         # infinite self-energy is omitted (constant; see module docstring)

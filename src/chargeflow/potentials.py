@@ -93,6 +93,13 @@ class Potential:
             raise SingularDiagonal(f"{self.name} kernel diverges on the diagonal")
         return 1.0
 
+    def check_dimension(self, n):
+        """Raise DimensionMismatch when the kernel is built for a dimension
+        ``d`` other than n; kernels without a ``d`` take any dimension."""
+        d = getattr(self, "d", None)
+        if d is not None and n != d:
+            raise DimensionMismatch(f"{self.name} expects dimension {d}, got {n}")
+
     # -- the pair core: every kernel block and kernel gradient -------------
 
     def _pair_arguments(self, x, y):
@@ -237,7 +244,7 @@ class PolynomialPotential(Potential):
 
     manifold = SPHERE
 
-    def __init__(self, l):
+    def __init__(self, l=1):
         if l < 1 or l != int(l):
             raise ValueError("l must be an integer >= 1")
         self.l = int(l)
@@ -283,6 +290,12 @@ class AlmostHarmonicPotential(Potential):
         self.d = table.d
         self.name = f"almost:eps={table.eps:g},lambda={table.lam:g},d={table.d}"
 
+    @classmethod
+    def from_params(cls, eps=0.1, lam=1.0, d=3, loader=None):
+        """The kernel of the tabulation ``loader(d, eps, lam)`` (defaults to
+        the on-disk cache)."""
+        return cls((loader or harmonic.load_or_build_almost_harmonic)(d, eps, lam))
+
     def phi(self, r):
         return self.table.value(r)
 
@@ -309,12 +322,14 @@ class LaplaceExpPotential(Potential):
 
 
 class CoulombPotential(Potential):
-    """Diagnostic harmonic kernel r^(2-d) (d != 2); not realizable."""
+    """Diagnostic harmonic kernel r^(2-d) (d >= 1, d != 2); not realizable."""
 
     finite_diagonal = False
     raw_singular = True
 
     def __init__(self, d=3):
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
         if d == 2:
             raise UnsupportedDimension("use the log kernel for d = 2")
         self.d = int(d)
@@ -357,7 +372,6 @@ class Activation:
 
     name = "activation"
     manifold = EUCLIDEAN
-    has_log_eval = False
 
     def __init__(self, d):
         self.d = int(d)
@@ -391,8 +405,6 @@ class HermiteActivation(Activation):
 class GaussianActivation(Activation):
     """(4c)^{d/4} e^{|x|^2/4} e^{-c|x-w|^2}; kernel exp(-c r^2 / 2)."""
 
-    has_log_eval = True
-
     def __init__(self, c=1.0, d=1):
         super().__init__(d)
         self.c = float(c)
@@ -410,8 +422,6 @@ class GaussianActivation(Activation):
 
 class BesselK0Activation(Activation):
     """(2/pi)^{3/4} e^{x^2/4} K_0(|x - w|) in one dimension; kernel e^{-r}."""
-
-    has_log_eval = True
 
     def __init__(self):
         super().__init__(1)
@@ -432,8 +442,6 @@ class BesselK1RadialActivation(Activation):
     standard errors for this activation are not trustworthy; the pair is
     verified through the Fourier certificate instead.
     """
-
-    has_log_eval = True
 
     def __init__(self):
         super().__init__(3)
@@ -495,9 +503,7 @@ def _check_points(pot, theta, w):
     w = np.asarray(w, dtype=float)
     if theta.shape != w.shape or theta.ndim != 1:
         raise DimensionMismatch(f"shapes {theta.shape} vs {w.shape}")
-    d = getattr(pot, "d", None)
-    if d is not None and theta.shape[0] != d:
-        raise DimensionMismatch(f"{pot.name} expects dimension {d}, got {theta.shape[0]}")
+    pot.check_dimension(theta.shape[0])
     if pot.manifold == SPHERE:
         check_unit_rows([theta, w], f"{pot.name} kernel points")
     return theta, w
@@ -549,7 +555,7 @@ def empirical_dual(act, theta, w, n, seed, paired=None):
     if act.manifold == SPHERE:
         check_unit_rows([theta, w], f"{act.name} activation weights")
     if paired is None:
-        paired = act.has_log_eval
+        paired = hasattr(act, "log_eval")
 
     total = 0.0
     total_sq = 0.0
@@ -646,64 +652,46 @@ def realizability_certificate_radial(r, values, d, tol=1e-6, omega=None, n_omega
 # ---------------------------------------------------------------------------
 
 
-# the keys each kernel id accepts; "d" and "l" take integers
-_ID_KEYS = {
-    "sign": (),
-    "gauss": ("c",),
-    "explh": ("lambda", "d"),
-    "poly": ("l",),
-    "almost": ("eps", "lambda", "d"),
-    "exp1d": ("lambda",),
-    "coulomb": ("d",),
-    "log": (),
+# id kind -> (builder, {id key: builder argument}); every default lives in
+# the builder, and "d" and "l" take integers
+_KINDS = {
+    "sign": (SignPotential, {}),
+    "gauss": (GaussianPotential, {"c": "c"}),
+    "explh": (ExpLambdaHarmonicPotential, {"lambda": "lam", "d": "d"}),
+    "poly": (PolynomialPotential, {"l": "l"}),
+    "almost": (AlmostHarmonicPotential.from_params, {"eps": "eps", "lambda": "lam", "d": "d"}),
+    "exp1d": (LaplaceExpPotential, {"lambda": "lam"}),
+    "coulomb": (CoulombPotential, {"d": "d"}),
+    "log": (LogPotential, {}),
 }
-
-
-def _parse_args(head, argstr):
-    out = {}
-    for part in argstr.split(",") if argstr else ():
-        key, _, val = (t.strip() for t in part.partition("="))
-        if key not in _ID_KEYS[head] or key in out:
-            raise ValueError(f"{head}: {'repeated' if key in out else 'unknown'} key {key!r}")
-        try:
-            out[key] = float(val)
-        except ValueError:
-            raise ValueError(f"{head}: {key} must be a number, got {val!r}") from None
-        if key in ("d", "l"):
-            if not out[key].is_integer():
-                raise ValueError(f"{head}: {key} must be an integer, got {val}")
-            out[key] = int(out[key])
-    return out
 
 
 def parse_potential(identifier, table_loader=None):
     """Build a kernel from its string id.
 
     Ids: "sign", "gauss:c=1.0", "explh:lambda=1,d=3", "poly:l=3",
-    "almost:eps=0.1,lambda=1,d=3", "exp1d:lambda=1", "coulomb:d=3", "log".
-    ``table_loader(d, eps, lam)`` supplies the tabulation for "almost" kinds
-    (defaults to the on-disk cache). An unknown or repeated key, a
-    non-integer ``d`` or ``l`` and an out-of-range value raise ValueError
-    naming the key.
+    "almost:eps=0.1,lambda=1,d=3", "exp1d:lambda=1", "coulomb:d=3", "log";
+    an omitted key takes the constructor's default. ``table_loader(d, eps,
+    lam)`` supplies the tabulation for "almost" kinds (defaults to the
+    on-disk cache). An unknown or repeated key, a non-integer ``d`` or ``l``
+    and an out-of-range value raise ValueError naming the key.
     """
     head, _, rest = identifier.partition(":")
-    if head not in _ID_KEYS:
+    if head not in _KINDS:
         raise ValueError(f"unknown potential id {identifier!r}")
-    args = _parse_args(head, rest)
-    if head == "sign":
-        return SignPotential()
-    if head == "gauss":
-        return GaussianPotential(c=args.get("c", 1.0))
-    if head == "explh":
-        return ExpLambdaHarmonicPotential(lam=args.get("lambda", 1.0), d=args.get("d", 3))
-    if head == "poly":
-        return PolynomialPotential(l=args.get("l", 1))
-    if head == "almost":
-        loader = table_loader or harmonic.load_or_build_almost_harmonic
-        table = loader(args.get("d", 3), args.get("eps", 0.1), args.get("lambda", 1.0))
-        return AlmostHarmonicPotential(table)
-    if head == "exp1d":
-        return LaplaceExpPotential(lam=args.get("lambda", 1.0))
-    if head == "coulomb":
-        return CoulombPotential(d=args.get("d", 3))
-    return LogPotential()
+    build, keys = _KINDS[head]
+    args = {"loader": table_loader} if head == "almost" else {}
+    for part in rest.split(",") if rest else ():
+        key, _, val = (t.strip() for t in part.partition("="))
+        arg = keys.get(key)
+        if arg is None or arg in args:
+            raise ValueError(f"{head}: {'unknown' if arg is None else 'repeated'} key {key!r}")
+        try:
+            args[arg] = float(val)
+        except ValueError:
+            raise ValueError(f"{head}: {key} must be a number, got {val!r}") from None
+        if key in ("d", "l"):
+            if not args[arg].is_integer():
+                raise ValueError(f"{head}: {key} must be an integer, got {val}")
+            args[arg] = int(args[arg])
+    return build(**args)

@@ -23,6 +23,13 @@ def almost_table_fine():
     return build_almost_harmonic(3, 0.05, 1.0)
 
 
+# the kernel ids the README lists
+README_KERNEL_IDS = (
+    "sign", "gauss:c=1.0", "explh:lambda=1,d=3", "poly:l=3",
+    "almost:eps=0.1,lambda=1,d=3", "exp1d:lambda=1", "coulomb:d=3", "log",
+)
+
+
 def separated_points(rng, n, d, scale=3.0, min_sep=1.0):
     """Random configuration with all pairwise distances >= min_sep."""
     while True:

@@ -7,6 +7,8 @@ from chargeflow import cli
 from chargeflow.cli import main
 from chargeflow.harness import KEY_TYPES, ExperimentConfig
 
+from conftest import README_KERNEL_IDS
+
 
 class TestTable:
     def test_grid_csv(self, tmp_path, capsys):
@@ -118,6 +120,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "unknown key 'width'" in err
 
+    def test_config_bool_typo(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("full_scale = ture\n")
+        # a tiny grid, so that a value read as false ends the run quickly
+        tiny = ["--depths", "2", "--widths", "2", "--n-train", "8", "--n-test", "8", "--iters", "1", "--seeds", "0,"]
+        assert main(["table", "--config", str(cfg)] + tiny) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "full_scale" in err
+
     def test_zero_trace_stride(self, capsys):
         argv = ["recovery", "--potential", "gauss:c=1", "--k", "1", "--seeds", "1", "--trace-stride", "0"]
         assert main(argv) == 1
@@ -183,6 +194,10 @@ class TestMisc:
     def test_potential_info(self, capsys):
         assert main(["potential-info", "--potential", "gauss:c=1"]) == 0
         assert "euclidean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ident", README_KERNEL_IDS)
+    def test_potential_info_on_readme_ids(self, ident, capsys):
+        assert main(["potential-info", "--potential", ident]) == 0
 
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 2

@@ -12,7 +12,7 @@ from chargeflow.dynamics import (
     system_from_objective,
     velocity_field,
 )
-from chargeflow.errors import CollisionSingularity, FixedParticle
+from chargeflow.errors import CollisionSingularity, DimensionMismatch, FixedParticle
 from chargeflow.harness import write_jsonl
 from chargeflow.loss import Hypothesis, Objective, TargetNetwork
 from chargeflow.potentials import (
@@ -64,6 +64,15 @@ class TestNetForce:
         )
         with pytest.raises(CollisionSingularity):
             net_force(sys_, 0)
+
+    def test_kernel_of_another_dimension(self, almost_table):
+        with pytest.raises(DimensionMismatch, match="expects dimension 3, got 2"):
+            ParticleSystem(
+                positions=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                charges=np.array([1.0, -1.0]),
+                fixed=frozenset(),
+                potential=AlmostHarmonicPotential(almost_table),
+            )
 
 
 class TestStep:

@@ -216,6 +216,21 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"typo\.cfg:2: unknown key 'width'"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("val", ["maybe", "ture", "2", ""])
+    def test_bool_value_must_be_a_truth_word(self, tmp_path, val):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"full_scale = {val}\n")
+        with pytest.raises(ValueError, match=r"\bfull_scale\b"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "val,expected", [("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("no", False), ("0", False)]
+    )
+    def test_bool_truth_words(self, tmp_path, val, expected):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"full_scale = {val}\n")
+        assert parse_config_file(path) == {"full_scale": expected}
+
     def test_full_scale_resolution(self):
         cfg = ExperimentConfig(full_scale=True)
         resolved = cfg.resolved()

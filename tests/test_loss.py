@@ -102,6 +102,14 @@ class TestLossValue:
         with pytest.raises(DimensionMismatch):
             obj.loss(Hypothesis(theta=np.zeros((1, 4)), a=[1.0]))
 
+    @pytest.mark.parametrize(
+        "ident,d", [("explh:lambda=1,d=3", 5), ("coulomb:d=3", 2), ("log", 3)]
+    )
+    def test_kernel_of_another_dimension(self, ident, d):
+        # the same check, and message, as eval_potential
+        with pytest.raises(DimensionMismatch, match=rf"expects dimension \d, got {d}"):
+            Objective(parse_potential(ident), TargetNetwork(w=np.ones((1, d)), b=[1.0]))
+
     def test_non_unit_sphere_target(self):
         # the same unit-norm check, and error type, as eval_potential
         with pytest.raises(OffManifold, match="poly:l=3"):

@@ -36,7 +36,7 @@ from chargeflow.potentials import (
     realizability_certificate_radial,
 )
 
-from conftest import separated_points
+from conftest import README_KERNEL_IDS, separated_points
 
 
 def unit(v):
@@ -194,7 +194,6 @@ class TestEmpiricalDual:
         class Overflowing:
             name = "overflow"
             manifold = "euclidean"
-            has_log_eval = False
             d = 1
 
             def eval(self, x, weight):
@@ -404,6 +403,27 @@ class TestRegistry:
         with pytest.raises(ValueError):
             parse_potential("mystery:x=1")
 
+    @pytest.mark.parametrize("ident", README_KERNEL_IDS)
+    def test_name_is_an_id_of_the_same_kernel(self, ident):
+        name = parse_potential(ident).name
+        assert parse_potential(name).name == name
+
+    @pytest.mark.parametrize(
+        "kind,name",
+        [
+            ("sign", "sign"),
+            ("gauss", "gauss:c=1"),
+            ("explh", "explh:lambda=1,d=3"),
+            ("poly", "poly:l=1"),
+            ("almost", "almost:eps=0.1,lambda=1,d=3"),
+            ("exp1d", "exp1d:lambda=1"),
+            ("coulomb", "coulomb:d=3"),
+            ("log", "log"),
+        ],
+    )
+    def test_bare_kind_builds_its_default(self, kind, name):
+        assert parse_potential(kind).name == name
+
     @pytest.mark.parametrize(
         "build,key",
         [
@@ -413,6 +433,8 @@ class TestRegistry:
             ("gauss:c", "c"),
             ("poly:l=2.5", "l"),
             ("coulomb:d=3.5", "d"),
+            ("coulomb:d=0", "d"),
+            ("coulomb:d=-1", "d"),
             ("gauss:c=-1", "c"),
             ("gauss:c=nan", "c"),
             ("exp1d:lambda=-1", "lambda"),

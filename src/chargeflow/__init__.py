@@ -18,7 +18,6 @@ from .descent import (
 from .dynamics import (
     ParticleSystem,
     gradient_flow_field,
-    net_force,
     run_trajectory,
     step,
     system_from_objective,
@@ -32,7 +31,6 @@ from .harmonic import (
     lambda_harmonic_poly,
     load_or_build_almost_harmonic,
     radial_laplacian,
-    sphere_overlap_potential,
 )
 from .harness import (
     ExperimentConfig,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CollisionSingularity, FixedParticle, NonDifferentiablePoint
+from .errors import CollisionSingularity, NonDifferentiablePoint
 from .loss import Hypothesis, Objective
 
 SCHEMA_VERSION = 1
@@ -60,18 +60,10 @@ def velocity_field(sys: ParticleSystem, positions=None):
     return field
 
 
-def net_force(sys: ParticleSystem, i):
-    """Velocity of mobile particle i: minus the charge-weighted kernel
-    gradients against every other particle."""
-    if i in sys.fixed:
-        raise FixedParticle(f"particle {i} is immobile")
-    return velocity_field(sys)[i]
-
-
 def step(sys: ParticleSystem, dt, scheme="rk4"):
     """Advance the system by dt with forward Euler or classical RK4."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     x = sys.positions
     if scheme == "euler":
         new = x + dt * velocity_field(sys)
@@ -112,6 +104,8 @@ def run_trajectory(sys: ParticleSystem, steps, dt, scheme="rk4", stride=1, objec
         raise ValueError(f"steps must be >= 0, got {steps}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     records = []
 
     def snapshot(idx, state):

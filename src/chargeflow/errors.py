@@ -58,10 +58,6 @@ class CollisionSingularity(ChargeflowError):
     """Two particles collided at a singular/kinked kernel point."""
 
 
-class FixedParticle(ChargeflowError):
-    """Force/step requested for an immobile particle."""
-
-
 class EigenSolveFailure(ChargeflowError):
     """Eigenpair iteration did not converge."""
 

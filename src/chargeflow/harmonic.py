@@ -44,10 +44,6 @@ def _poly_eval(coeffs, r):
     return acc
 
 
-def _poly_deriv(coeffs):
-    return np.array([i * c for i, c in enumerate(coeffs)][1:] or [0.0])
-
-
 def _shift_poly(coeffs, m, s):
     """Coefficients of q where d/dr [p(r) e^{-sr} r^{-m}] = -q(r) e^{-sr} r^{-(m+1)}.
 
@@ -78,12 +74,10 @@ def _simpson_nodes(a, b, n):
 
 
 def _simpson_doubling(f, a, b, tol, n0, max_doublings):
-    """Composite Simpson on [a, b], doubling the panel count from ``n0`` until
-    two successive estimates agree within ``tol`` (absolute, componentwise).
-
-    ``f`` maps a node array of shape (n,) to values of shape (..., n).
-    Returns (estimate, previous estimate, panel count of the estimate);
-    raises QuadratureNotConverged otherwise.
+    """Panel count at which composite Simpson on [a, b], doubling from ``n0``
+    panels, first agrees with the previous estimate within ``tol`` (absolute,
+    componentwise). ``f`` maps a node array of shape (n,) to values of shape
+    (..., n). Raises QuadratureNotConverged otherwise.
     """
     n = n0
     prev = None
@@ -91,19 +85,12 @@ def _simpson_doubling(f, a, b, tol, n0, max_doublings):
         x, w = _simpson_nodes(a, b, n)
         est = np.asarray(f(x), dtype=float) @ w
         if prev is not None and np.max(np.abs(est - prev)) <= tol:
-            return est, prev, n
+            return n
         prev = est
         n *= 2
     raise QuadratureNotConverged(
         f"Simpson on [{a}, {b}] did not reach tol={tol} within {max_doublings} doublings"
     )
-
-
-def simpson_refine(f, a, b, tol=1e-10, n0=64, max_doublings=16):
-    """:func:`_simpson_doubling` plus the Richardson correction (the Simpson
-    error shrinks 16x per halving); returns the refined estimate."""
-    est, prev, _ = _simpson_doubling(f, a, b, tol, n0, max_doublings)
-    return est + (est - prev) / 15.0
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +154,8 @@ class LambdaHarmonicRadial:
     def ode_residual_coeffs(self):
         """Coefficients of r p'' - (d-3 + 2 s r) p' + s (d-3) p; zero iff eigenrelation holds."""
         p = np.asarray(self.coeffs, dtype=float)
-        dp = _poly_deriv(p)
-        ddp = _poly_deriv(dp)
+        dp = np.polynomial.polynomial.polyder(p)
+        ddp = np.polynomial.polynomial.polyder(p, 2)
         n = len(p) + 1
         res = np.zeros(n)
         res[1 : 1 + len(ddp)] += ddp  # r * p''
@@ -215,41 +202,6 @@ def radial_laplacian(f, r, d, h):
 
 
 # ---------------------------------------------------------------------------
-# ball-overlap base kernel
-# ---------------------------------------------------------------------------
-
-
-def sphere_overlap_potential(t, d, r):
-    """Overlap kernel of two radius-t/2 ball indicators at center distance r.
-
-    Returns (value, derivative) with value(0) = 1; value vanishes for r >= t.
-    Computed in the scale-free variable u = 2x/t so the quadrature tolerance
-    is independent of t.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    power = (d - 1) / 2.0
-
-    def integrand(u):
-        return np.clip(1.0 - u * u, 0.0, None) ** power
-
-    norm = simpson_refine(integrand, 0.0, 1.0)
-    r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    value = np.zeros_like(r_arr)
-    deriv = np.zeros_like(r_arr)
-    inside = r_arr < t
-    for idx in np.nonzero(inside)[0]:
-        u0 = r_arr[idx] / t
-        value[idx] = simpson_refine(integrand, u0, 1.0) / norm
-        deriv[idx] = -((1.0 - u0 * u0) ** power) / (t * norm)
-    if scalar:
-        return float(value[0]), float(deriv[0])
-    return value, deriv
-
-
-# ---------------------------------------------------------------------------
 # the bounded construction: exact eigenfunction outside eps, smooth inside
 # ---------------------------------------------------------------------------
 
@@ -288,6 +240,17 @@ def _base_value(x, eps, r):
 def _base_deriv(x, eps, r):
     a = x - eps
     return -(a * (eps * eps - r * r) / (2.0 * eps) + a * a / 2.0)
+
+
+def _base_tails(eps, r, c, x_hi, m):
+    """The integrals over [x_hi, inf) of c x^-m times :func:`_base_value` and
+    times :func:`_base_deriv`, from their ascending coefficients in x (a cubic
+    and a quadratic, expanded from the a = x - eps forms); needs m > 4."""
+    value = [-r**3 / 6.0, (r**3 / eps - eps * eps) / 6.0 + eps * r / 2.0, -r / 2.0, 1.0 / 6.0]
+    deriv = [-r * r / 2.0, (eps * eps + r * r) / (2.0 * eps), -0.5]
+    # c times the integral of x^(k-m) over [x_hi, inf)
+    moments = [c * x_hi ** (k + 1 - m) / (m - 1 - k) for k in range(4)]
+    return [sum(p * w for p, w in zip(P, moments)) for P in (value, deriv)]
 
 
 @dataclass
@@ -516,18 +479,27 @@ def build_almost_harmonic(d, eps, lam=1.0, grid=None, tol=1e-10):
         wx = weight(x) * x
         return np.stack([wx * _base_value(x, eps, 0.0), wx * _base_value(x, eps, eps)])
 
-    _, _, n = _simpson_doubling(probe, u_lo, u_hi, tol, 512, 8)
+    n = _simpson_doubling(probe, u_lo, u_hi, tol, 512, 8)
     u, wq = _simpson_nodes(u_lo, u_hi, n)
     x = np.exp(u)
     wx = weight(x) * x
     vals_below = (wx[None, :] * _base_value(x[None, :], eps, below[:, None])) @ wq
     derivs_below = (wx[None, :] * _base_deriv(x[None, :], eps, below[:, None])) @ wq
 
+    seam = (wx * _base_value(x, eps, eps)) @ wq
+    if s == 0.0:
+        # Without the exp factor the integrand decays only like x^-2, so the
+        # cut at x_hi drops a mass of order 1/x_hi. Past x_hi the weight is
+        # c x^-(2d-1) and each base a polynomial in x: add that tail exactly.
+        value_tail, deriv_tail = _base_tails(eps, np.append(below, eps), q_weight[0], x_hi, 2 * d - 1)
+        vals_below += value_tail[:-1]
+        derivs_below += deriv_tail[:-1]
+        seam += value_tail[-1]
+
     above = knots[knots >= eps]
     vals_above, derivs_above = radial.phi_and_deriv(above)
 
     # seam consistency: the quadrature must reproduce the closed form at eps
-    seam = (wx * _base_value(x, eps, eps)) @ wq
     if abs(seam - radial.phi(eps)) > 1e-6 * abs(radial.phi(eps)):
         raise QuadratureNotConverged(
             f"construction seam mismatch at eps: {seam} vs {radial.phi(eps)}"

@@ -148,6 +148,10 @@ def generate_separated_target(d, k, seed, separation, scale=None):
     """Theory target resampled until the hidden vectors are pairwise at least
     ``separation`` apart (hidden-weight std defaults to the separation).
     Raises ValueError when 100 000 draws all fall short."""
+    if not 0 < separation < np.inf:
+        raise ValueError(f"separation must be positive and finite, got {separation}")
+    if scale is not None and not 0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     std = np.sqrt(scale) if scale is not None else float(separation)
     rng = np.random.default_rng(seed)
     for _ in range(100_000):
@@ -215,6 +219,8 @@ def _run_cell(args):
 def run_table(config: ExperimentConfig, workers=1):
     """Depth x width x seed grid in deterministic order; cells may run in
     parallel (per-cell generators make results independent of scheduling)."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = [
         (config, depth, width, seed)
         for depth, width, seed in itertools.product(config.depths, config.widths, config.seeds)

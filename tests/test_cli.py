@@ -147,11 +147,20 @@ class TestBadInput:
             (["recovery", "--k", "0"], "error: need k >= 1 and d >= 1"),
             (["dynamics", "--k", "1", "--steps", "-1"], "error: steps must be >= 0, got -1"),
             (["dynamics", "--k", "1", "--d", "0", "--steps", "2"], "error: need k >= 1 and d >= 1"),
+            (["dynamics", "--k", "1", "--dt", "-1", "--steps", "0"], "error: dt must be positive and finite, got -1.0"),
+            (["recovery", "--k", "1", "--separation", "-1"], "error: separation must be positive and finite, got -1.0"),
+            (["recovery", "--k", "1", "--separation", "0"], "error: separation must be positive and finite, got 0.0"),
         ],
     )
     def test_bad_counts_fail_fast(self, argv, message, capsys):
         assert main(argv + ["--potential", "gauss:c=1", "--seeds", "0,"]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_table_workers_below_one(self, workers, capsys):
+        argv = ["table", "--depths", "2", "--widths", "2", "--seeds", "0,", "--iters", "1", "--n-train", "8", "--n-test", "8"]
+        assert main(argv + ["--workers", workers]) == 1
+        assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
 
     def test_bad_list_value_is_a_usage_error(self, capsys):
         assert main(["table", "--depths", "2,x"]) == 2
@@ -198,6 +207,11 @@ class TestMisc:
     @pytest.mark.parametrize("ident", README_KERNEL_IDS)
     def test_potential_info_on_readme_ids(self, ident, capsys):
         assert main(["potential-info", "--potential", ident]) == 0
+
+    def test_potential_info_on_harmonic_almost_kernel(self, capsys):
+        # lambda = 0: the tabulated kernel whose tail is the harmonic 1/r
+        assert main(["potential-info", "--potential", "almost:eps=0.1,lambda=0,d=3"]) == 0
+        assert "phi(r=0.5) = " in capsys.readouterr().out
 
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 2

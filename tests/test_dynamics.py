@@ -6,13 +6,12 @@ import pytest
 from chargeflow.dynamics import (
     ParticleSystem,
     gradient_flow_field,
-    net_force,
     run_trajectory,
     step,
     system_from_objective,
     velocity_field,
 )
-from chargeflow.errors import CollisionSingularity, DimensionMismatch, FixedParticle
+from chargeflow.errors import CollisionSingularity, DimensionMismatch
 from chargeflow.harness import write_jsonl
 from chargeflow.loss import Hypothesis, Objective, TargetNetwork
 from chargeflow.potentials import (
@@ -33,26 +32,23 @@ def gaussian_system(positions, charges, fixed=()):
 
 
 class TestNetForce:
+    """The net force on a particle is its row of ``velocity_field``."""
+
     def test_opposite_charges_attract(self):
         sys_ = gaussian_system([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], fixed={1})
-        v = net_force(sys_, 0)
+        v = velocity_field(sys_)[0]
         # velocity points from the mobile particle toward the opposite charge
         assert v[0] > 0 and abs(v[1]) < 1e-15
 
     def test_single_particle_zero(self):
         sys_ = gaussian_system([[0.5, 0.5]], [1.0])
-        np.testing.assert_array_equal(net_force(sys_, 0), np.zeros(2))
+        np.testing.assert_array_equal(velocity_field(sys_)[0], np.zeros(2))
 
     def test_collinear_cancellation(self):
         sys_ = gaussian_system(
             [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [1.0, 1.0, 1.0]
         )
-        np.testing.assert_allclose(net_force(sys_, 1), 0.0, atol=1e-15)
-
-    def test_fixed_particle_rejected(self):
-        sys_ = gaussian_system([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], fixed={1})
-        with pytest.raises(FixedParticle):
-            net_force(sys_, 1)
+        np.testing.assert_allclose(velocity_field(sys_)[1], 0.0, atol=1e-15)
 
     def test_collision_guard_for_kinked_kernel(self, almost_table):
         pot = AlmostHarmonicPotential(almost_table)
@@ -63,7 +59,7 @@ class TestNetForce:
             potential=pot,
         )
         with pytest.raises(CollisionSingularity):
-            net_force(sys_, 0)
+            velocity_field(sys_)
 
     def test_kernel_of_another_dimension(self, almost_table):
         with pytest.raises(DimensionMismatch, match="expects dimension 3, got 2"):
@@ -126,6 +122,12 @@ class TestStep:
             cur = float(np.linalg.norm(state.positions[0]))
             assert cur < prev
             prev = cur
+
+    @pytest.mark.parametrize("dt", [-1.0, np.nan, np.inf])
+    def test_bad_dt_rejected(self, dt):
+        sys_ = gaussian_system([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], fixed={1})
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+            step(sys_, dt, "euler")
 
     def test_unknown_scheme(self):
         sys_ = gaussian_system([[0.0, 0.0]], [1.0])
@@ -225,3 +227,9 @@ class TestTrajectoryExport:
         sys_ = gaussian_system([[0.0, 0.0, 0.0]], [1.0])
         with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
             run_trajectory(sys_, steps=-1, dt=1e-3)
+
+    @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf])
+    def test_bad_dt_rejected_before_any_record(self, dt):
+        sys_ = gaussian_system([[0.0, 0.0, 0.0]], [1.0])
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+            run_trajectory(sys_, steps=0, dt=dt)

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
@@ -17,7 +18,6 @@ from chargeflow.harmonic import (
     lambda_harmonic_poly,
     load_or_build_almost_harmonic,
     radial_laplacian,
-    sphere_overlap_potential,
 )
 
 
@@ -83,33 +83,6 @@ class TestRadialLaplacian:
         exact = np.exp(-1.5) / 1.5
         errs = [abs(radial_laplacian(f, 1.5, 3, h) - exact) for h in (2e-3, 1e-3)]
         assert errs[1] < errs[0] / 3.0  # O(h^2): halving h quarters the error
-
-
-class TestSphereOverlap:
-    def test_outside_support(self):
-        value, deriv = sphere_overlap_potential(2.0, 3, 2.5)
-        assert value == 0.0 and deriv == 0.0
-
-    def test_full_overlap(self):
-        value, _ = sphere_overlap_potential(2.0, 3, 0.0)
-        assert value == pytest.approx(1.0, abs=1e-12)
-
-    def test_lens_ratio_d3(self):
-        value, deriv = sphere_overlap_potential(2.0, 3, 1.0)
-        assert value == pytest.approx(5.0 / 16.0, abs=1e-10)
-        assert deriv == pytest.approx(-0.5625, abs=1e-10)
-
-    @pytest.mark.parametrize("d", [3, 7])
-    def test_derivative_matches_fd(self, d):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            t = rng.uniform(0.5, 4.0)
-            r = rng.uniform(0.05, t * 0.95)
-            h = 1e-5
-            vp, _ = sphere_overlap_potential(t, d, r + h)
-            vm, _ = sphere_overlap_potential(t, d, r - h)
-            _, deriv = sphere_overlap_potential(t, d, r)
-            assert deriv == pytest.approx((vp - vm) / (2 * h), abs=1e-6)
 
 
 class TestConstruction:
@@ -197,6 +170,34 @@ class TestConstruction:
         # tail is e^{-2r}/r up to normalization
         ratio = tab.value(1.0) / tab.value(2.0)
         assert ratio == pytest.approx((np.exp(-2.0) / 1.0) / (np.exp(-4.0) / 2.0), rel=1e-6)
+
+
+class TestHarmonicConstruction:
+    """lam = 0: the construction whose tail is the harmonic 1/r itself."""
+
+    @pytest.fixture(scope="class", params=[0.1, 0.05])
+    def table(self, request):
+        return build_almost_harmonic(3, request.param, 0.0)
+
+    def test_origin_value_closed_form(self, table):
+        # z * eps = 24 * int_1^inf t^-5 [(t-1)^3/6 + (t-1)^2/2 + (t-1)/3] dt = 8/3
+        integrand = lambda t: 24 * t**-5 * ((t - 1) ** 3 / 6 + (t - 1) ** 2 / 2 + (t - 1) / 3)
+        exact = mpmath.quad(integrand, [1, mpmath.inf])
+        assert abs(exact - mpmath.mpf(8) / 3) < 1e-30
+        assert table.z * table.eps == pytest.approx(float(exact), abs=1e-9)
+
+    def test_harmonic_outside_eps(self, table):
+        eps = table.eps
+        radii = np.concatenate(
+            [eps + (10 * eps - eps) * np.arange(1, 51) / 51.0, np.linspace(1.0, 5.0, 50)]
+        )
+        for r in radii:
+            h = min(0.01 * max(1.0, r), (r - eps) / 2.0)
+            assert abs(radial_laplacian(table.value, r, table.d, h)) <= 1e-3
+
+    def test_monotone_and_normalized(self, table):
+        assert np.all(np.diff(table.values) <= 1e-12)
+        assert table.value(0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def searchsorted_evaluate(tab, r, deriv):

@@ -63,6 +63,19 @@ class TestGenerateTarget:
         with pytest.raises(ValueError, match=r"std 1 .*separation 10"):
             generate_separated_target(3, 3, 0, separation=10.0, scale=1.0)
 
+    @pytest.mark.parametrize(
+        "separation,scale,message",
+        [
+            (np.nan, None, "separation must be positive and finite, got nan"),
+            (np.inf, None, "separation must be positive and finite, got inf"),
+            (10.0, 0.0, "scale must be positive and finite, got 0.0"),
+            (10.0, np.inf, "scale must be positive and finite, got inf"),
+        ],
+    )
+    def test_bad_separation_or_scale_rejected(self, separation, scale, message):
+        with pytest.raises(ValueError, match=message):
+            generate_separated_target(3, 2, 0, separation=separation, scale=scale)
+
 
 class TestSgdTrain:
     def test_zero_iterations_random_guess_band(self):

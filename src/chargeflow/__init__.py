@@ -4,7 +4,6 @@ from .descent import (
     DescentConfig,
     DescentReport,
     FunctionObjective,
-    OriginInit,
     RandomBallInit,
     StationaritySet,
     gd,
@@ -59,7 +58,6 @@ from .loss import (
     VectorObjective,
     fd_gradient,
     fd_hessian,
-    hessian,
     theta_laplacian,
 )
 from .potentials import (

@@ -36,8 +36,11 @@ class DescentConfig:
     alpha_scale: str = "fixed"
 
     def __post_init__(self):
-        if self.T < 1 or self.alpha <= 0 or self.eta <= 0 or self.gamma <= 0:
-            raise ValueError("need T >= 1 and positive alpha, eta, gamma")
+        if self.T < 1 or not all(0 < x < np.inf for x in (self.alpha, self.eta, self.gamma)):
+            raise ValueError(
+                f"need T >= 1 and positive, finite alpha, eta, gamma; got T={self.T}, "
+                f"alpha={self.alpha}, eta={self.eta}, gamma={self.gamma}"
+            )
         if self.trace_stride < 1:
             raise ValueError(f"trace_stride must be >= 1, got {self.trace_stride}")
         if self.alpha_scale not in ("fixed", "init-charge"):
@@ -242,11 +245,6 @@ def stationarity_check(objective, x, eps):
 
 
 @dataclass(frozen=True)
-class OriginInit:
-    """Place the node at the origin with its optimal outer weight."""
-
-
-@dataclass(frozen=True)
 class RandomBallInit:
     """Best of ``trials`` uniform samples from the radius-``radius`` ball,
     each scored by the loss change of its optimal outer weight."""
@@ -255,9 +253,10 @@ class RandomBallInit:
     trials: int = 200
 
     def __post_init__(self):
-        if self.trials < 1 or not self.radius > 0:
+        if self.trials < 1 or not 0 < self.radius < np.inf:
             raise ValueError(
-                f"need trials >= 1 and radius > 0, got trials={self.trials}, radius={self.radius}"
+                f"need trials >= 1 and radius > 0 and finite, got trials={self.trials}, "
+                f"radius={self.radius}"
             )
 
 
@@ -279,28 +278,23 @@ def _best_trial(obj: Objective, rng, radius, m):
     return a[idx], pts[idx].copy(), float(changes[idx])
 
 
-def initialize_node(obj: Objective, policy, seed=0):
-    """Initialize one mobile node on the (restricted) objective.
+def initialize_node(obj: Objective, policy: RandomBallInit, seed=0):
+    """Initialize one mobile node on the (restricted) objective at the best
+    of the policy's ball samples, drawn from the Philox stream keyed by
+    (seed, 0) in chunks of 2^19.
 
     Returns (a, theta, loss_change) where loss_change is the signed change
     against a = 0 (negative when the initialization strictly improves).
     Raises InitializationFailed when no strict improvement is found.
     """
-    d = obj.target.d
-    if isinstance(policy, OriginInit):
-        theta = np.zeros(d)
-        a, change = obj.optimal_outer_weight(theta)
-    elif isinstance(policy, RandomBallInit):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-        best = (None, None, np.inf)
-        for start in range(0, policy.trials, _TRIAL_CHUNK):
-            m = min(policy.trials - start, _TRIAL_CHUNK)
-            trial = _best_trial(obj, rng, policy.radius, m)
-            if trial[2] < best[2]:
-                best = trial
-        a, theta, change = best
-    else:
-        raise ValueError(f"unknown initialization policy {policy!r}")
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    best = (None, None, np.inf)
+    for start in range(0, policy.trials, _TRIAL_CHUNK):
+        m = min(policy.trials - start, _TRIAL_CHUNK)
+        trial = _best_trial(obj, rng, policy.radius, m)
+        if trial[2] < best[2]:
+            best = trial
+    a, theta, change = best
     if change >= 0.0:
         raise InitializationFailed(
             f"no strict decrease achievable (best change {change:g})"
@@ -316,7 +310,7 @@ class NodeWiseResult:
     init_changes: list
 
 
-def node_wise_descent(obj: Objective, policy, cfg: DescentConfig):
+def node_wise_descent(obj: Objective, policy: RandomBallInit, cfg: DescentConfig):
     """Learn nodes sequentially: initialize node i, run the combined descent
     on its restricted objective with nodes < i frozen at their learned values
     (acting as additional fixed charges) and nodes > i silent at a = 0.

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     EvenDimension,
+    GridTooCoarse,
     QuadratureNotConverged,
     TooCloseToOrigin,
     UnsupportedDimension,
@@ -261,6 +261,8 @@ class TabulatedPotential:
     the origin. Evaluation interpolates log(value) against log(r) with a cubic
     Hermite using the tabulated exact slopes, falls back to the closed form
     beyond the last knot, and extends constantly below the first positive knot.
+    A cubic whose interval midpoint leaves the range of its knots raises
+    GridTooCoarse.
     """
 
     d: int
@@ -285,10 +287,7 @@ class TabulatedPotential:
         probe_t = 0.5 * np.diff(x)
         mid = ((coeffs[3, :] * probe_t + coeffs[2, :]) * probe_t + coeffs[1, :]) * probe_t + coeffs[0, :]
         if np.any(y[:-1] - mid < -1e-12) or np.any(mid - y[1:] < -1e-12):
-            # exact-slope Hermite overshot somewhere; fall back to the
-            # shape-preserving slopes
-            dydx = PchipInterpolator(x, y).derivative()(x)
-            coeffs = self._hermite_coeffs(x, y, dydx)
+            raise GridTooCoarse("log-log cubic overshoots between knots")
         # derived lookup state, kept out of the dataclass fields
         self._x = x
         self._c = coeffs

@@ -75,6 +75,10 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if self.k < 1 or self.d < 1:
             raise ValueError(f"need k >= 1 and d >= 1, got k={self.k}, d={self.d}")
+        if any(w < 1 for w in self.widths):
+            raise ValueError(f"widths must be >= 1, got {self.widths}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     def resolved(self):
         if self.full_scale:
@@ -119,35 +123,22 @@ class LayeredNetwork:
         return h[:, 0]
 
 
-def generate_target(d, depth, width, seed, flavor="empirical", scale=None):
-    """Deterministic synthetic target.
-
-    flavor="empirical": ``depth`` layers of standard-Gaussian weights, tanh at
-    every node (the grid-experiment teacher). flavor="theory": depth must be
-    2; returns a TargetNetwork with hidden rows ~ N(0, scale I) (scale
-    defaults to d log d) and outer weights uniform in [-1, 1].
-    """
+def generate_target(d, depth, width, seed):
+    """Deterministic grid-experiment teacher: ``depth`` layers of
+    standard-Gaussian weights, tanh at every node."""
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
     rng = np.random.default_rng(seed)
-    if flavor == "empirical":
-        if depth < 2:
-            raise ValueError("depth must be >= 2")
-        dims = [d] + [width] * (depth - 1) + [1]
-        weights = tuple(rng.standard_normal((dims[i + 1], dims[i])) for i in range(depth))
-        return LayeredNetwork(weights=weights)
-    if flavor != "theory":
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if depth != 2:
-        raise ValueError("theory targets are depth-2")
-    variance = float(scale) if scale is not None else d * np.log(d)
-    w = rng.standard_normal((width, d)) * np.sqrt(variance)
-    b = rng.uniform(-1.0, 1.0, width)
-    return TargetNetwork(w=w, b=b)
+    dims = [d] + [width] * (depth - 1) + [1]
+    weights = tuple(rng.standard_normal((dims[i + 1], dims[i])) for i in range(depth))
+    return LayeredNetwork(weights=weights)
 
 
 def generate_separated_target(d, k, seed, separation, scale=None):
-    """Theory target resampled until the hidden vectors are pairwise at least
-    ``separation`` apart (hidden-weight std defaults to the separation).
-    Raises ValueError when 100 000 draws all fall short."""
+    """Depth-2 recovery target: k hidden rows ~ N(0, scale I) (std defaults to
+    the separation) and outer weights uniform in [-1, 1], resampled until the
+    hidden vectors are pairwise at least ``separation`` apart. Raises
+    ValueError when 100 000 draws all fall short."""
     if not 0 < separation < np.inf:
         raise ValueError(f"separation must be positive and finite, got {separation}")
     if scale is not None and not 0 < scale < np.inf:

@@ -299,13 +299,6 @@ def fd_hessian(grad, x, h=1e-4):
     return 0.5 * (jac + jac.T)
 
 
-def hessian(obj: Objective, hyp: Hypothesis, h=1e-4):
-    """Hessian of the loss over the packed (a, theta) vector, from central
-    differences of the analytic gradient."""
-    vec = VectorObjective(obj, hyp.k, hyp.d)
-    return vec.hess(vec.pack(hyp), h)
-
-
 def theta_laplacian(obj: Objective, hyp: Hypothesis, i, h=1e-4):
     """Trace of the theta_i block of the Hessian via axis-aligned second
     differences."""

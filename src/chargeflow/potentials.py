@@ -121,7 +121,7 @@ class Potential:
     def pairwise(self, x, y=None):
         """Kernel block K[i, j] = Phi(x_i, y_j) for point sets (n, d), (m, d).
 
-        With ``y`` None, ``x`` is paired with itself and the diagonal is
+        With ``y`` None, the block is ``x`` against itself and the diagonal is
         zeroed (the self-energy is the caller's). Raw-singular kernels raise
         SingularDiagonal at zero separation off the diagonal.
         """
@@ -533,7 +533,7 @@ def eval_potential(pot, theta, w):
 _CHUNK = 1 << 17
 
 
-def empirical_dual(act, theta, w, n, seed, paired=None):
+def empirical_dual(act, theta, w, n, seed):
     """Monte-Carlo estimate of E[sigma(X, theta) sigma(X, w)], X ~ N(0, I_d).
 
     Returns (estimate, standard error). Deterministic for a fixed seed: each
@@ -541,10 +541,9 @@ def empirical_dual(act, theta, w, n, seed, paired=None):
     (seed, chunk index) and partial sums are reduced in chunk order, so the
     result does not depend on how chunks are distributed over workers.
 
-    ``paired`` selects the product form exp(log s1 + log s2) that keeps
-    exp(|x|^2/4)-type activations finite; defaults to using it whenever the
-    activation provides ``log_eval``. With paired=False an overflowing sample
-    raises NonFiniteSample.
+    An activation with ``log_eval`` is sampled as exp(log s1 + log s2), which
+    keeps exp(|x|^2/4)-type activations finite; any other as the direct
+    product of ``eval``, where an overflowing sample raises NonFiniteSample.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -554,8 +553,7 @@ def empirical_dual(act, theta, w, n, seed, paired=None):
         raise DimensionMismatch(f"weights must have shape ({act.d},)")
     if act.manifold == SPHERE:
         check_unit_rows([theta, w], f"{act.name} activation weights")
-    if paired is None:
-        paired = hasattr(act, "log_eval")
+    in_logs = hasattr(act, "log_eval")
 
     total = 0.0
     total_sq = 0.0
@@ -568,13 +566,13 @@ def empirical_dual(act, theta, w, n, seed, paired=None):
         )
         x = rng.standard_normal((m, act.d))
         with np.errstate(over="ignore", invalid="ignore"):
-            if paired:
+            if in_logs:
                 vals = np.exp(act.log_eval(x, theta) + act.log_eval(x, w))
             else:
                 vals = act.eval(x, theta) * act.eval(x, w)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteSample(
-                f"{act.name}: non-finite sample; use the paired product form"
+                f"{act.name}: non-finite sample; give the activation a log_eval"
             )
         total += float(vals.sum())
         total_sq += float(np.square(vals).sum())

@@ -150,6 +150,10 @@ class TestBadInput:
             (["dynamics", "--k", "1", "--dt", "-1", "--steps", "0"], "error: dt must be positive and finite, got -1.0"),
             (["recovery", "--k", "1", "--separation", "-1"], "error: separation must be positive and finite, got -1.0"),
             (["recovery", "--k", "1", "--separation", "0"], "error: separation must be positive and finite, got 0.0"),
+            (["recovery", "--k", "1", "--descent-alpha", "nan"], "alpha=nan"),
+            (["recovery", "--k", "1", "--descent-eta", "inf"], "eta=inf"),
+            (["recovery", "--k", "1", "--descent-gamma", "nan"], "gamma=nan"),
+            (["recovery", "--k", "1", "--radius-mult", "inf"], "error: need trials >= 1 and radius > 0 and finite"),
         ],
     )
     def test_bad_counts_fail_fast(self, argv, message, capsys):
@@ -172,6 +176,16 @@ class TestBadInput:
 
     def test_verify_takes_no_config(self, capsys):
         assert main(["verify", "--config", "x"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--widths", "0"], "error: widths must be >= 1, got (0,)"),
+         (["--alpha", "-1"], "error: alpha must be positive and finite, got -1.0")],
+    )
+    def test_bad_table_values_fail_fast(self, flags, message, capsys):
+        argv = ["table", "--depths", "2", "--widths", "2", "--seeds", "0,", "--iters", "1", "--n-train", "8", "--n-test", "8"]
+        assert main(argv + flags) == 1
+        assert message in capsys.readouterr().err
 
 
 # a value per key type for the flag/config-file equivalence below; each differs

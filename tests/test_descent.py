@@ -6,7 +6,6 @@ from chargeflow.descent import (
     DescentReport,
     FunctionObjective,
     IterationRecord,
-    OriginInit,
     RandomBallInit,
     gd,
     hessian_descent_step,
@@ -251,6 +250,17 @@ class TestGD:
         with pytest.raises(ValueError, match="trace_stride"):
             DescentConfig(trace_stride=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("alpha", np.nan), ("alpha", np.inf), ("alpha", 0.0), ("eta", np.inf), ("eta", -1.0),
+         ("gamma", np.nan), ("T", 0)],
+    )
+    def test_bad_step_parameters_rejected(self, field, value):
+        # a nan alpha would otherwise run at alpha = 1 after the init-charge
+        # rescale min(1, alpha / scale)
+        with pytest.raises(ValueError, match="need T >= 1 and positive, finite alpha, eta, gamma"):
+            DescentConfig(**{field: value})
+
 
 class TestHessianDescentStep:
     def test_saddle_step(self):
@@ -451,16 +461,6 @@ class TestEarlyStopStationarity:
 
 
 class TestInitializeNode:
-    def test_origin_policy_change_formula(self):
-        rng = np.random.default_rng(5)
-        tgt = TargetNetwork(w=rng.standard_normal((4, 3)), b=rng.uniform(-1, 1, 4))
-        obj = Objective(GaussianPotential(1.0), tgt, regularization="charge")
-        a, theta, change = initialize_node(obj, OriginInit(), seed=0)
-        np.testing.assert_array_equal(theta, np.zeros(3))
-        s = float((obj.cross_block(np.zeros(3)) @ tgt.b)[0])
-        assert change == pytest.approx(-0.5 * s * s, abs=1e-12)
-        assert a == pytest.approx(-0.5 * s, abs=1e-12)
-
     def test_random_ball_improves_across_seeds(self):
         rng = np.random.default_rng(6)
         w = rng.standard_normal((1, 3))
@@ -472,10 +472,11 @@ class TestInitializeNode:
             assert change < 0
 
     def test_zero_target_fails(self):
+        # a zero target leaves every trial's best change at exactly 0
         tgt = TargetNetwork(w=np.zeros((1, 3)), b=[0.0])
         obj = Objective(GaussianPotential(1.0), tgt)
-        with pytest.raises(InitializationFailed):
-            initialize_node(obj, OriginInit(), seed=0)
+        with pytest.raises(InitializationFailed, match="no strict decrease"):
+            initialize_node(obj, RandomBallInit(2.0, trials=100), seed=0)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(7)
@@ -495,9 +496,11 @@ class TestInitializeNode:
         _, theta, _ = initialize_node(obj, RandomBallInit(3.0, trials=100), seed=0)
         assert theta.shape == (3,) and theta.base is None
 
-    @pytest.mark.parametrize("radius,trials", [(1.0, 0), (1.0, -5), (0.0, 10), (-1.0, 10)])
+    @pytest.mark.parametrize(
+        "radius,trials", [(1.0, 0), (1.0, -5), (0.0, 10), (-1.0, 10), (np.inf, 10)]
+    )
     def test_bad_policy_rejected(self, radius, trials):
-        with pytest.raises(ValueError, match="need trials >= 1 and radius > 0"):
+        with pytest.raises(ValueError, match="need trials >= 1 and radius > 0 and finite"):
             RandomBallInit(radius, trials=trials)
 
 
@@ -517,7 +520,7 @@ class TestNodeWise:
         np.testing.assert_array_equal(rep.final_x, x0)
 
     def test_sphere_kernel_rejected_before_init(self):
-        # both init policies sample Euclidean space, so the node objective
+        # ball initialization samples Euclidean space, so the node objective
         # refuses sphere kernels before any trial is scored
         obj = Objective(parse_potential("poly:l=3"), TargetNetwork(w=[[0.6, 0.8, 0.0]], b=[1.0]))
         with pytest.raises(DimensionMismatch, match="poly:l=3"):

@@ -3,10 +3,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from chargeflow.errors import (
     EvenDimension,
+    GridTooCoarse,
     TooCloseToOrigin,
     UnsupportedDimension,
 )
@@ -208,10 +208,6 @@ def searchsorted_evaluate(tab, r, deriv):
     y = np.log(tab.values[1:])
     m = tab.r_grid[1:] * tab.derivs[1:] / tab.values[1:]
     c = TabulatedPotential._hermite_coeffs(x, y, m)
-    t_mid = 0.5 * np.diff(x)
-    mid_y = ((c[3] * t_mid + c[2]) * t_mid + c[1]) * t_mid + c[0]
-    if np.any(y[:-1] - mid_y < -1e-12) or np.any(mid_y - y[1:] < -1e-12):
-        c = TabulatedPotential._hermite_coeffs(x, y, PchipInterpolator(x, y).derivative()(x))
     radial = lambda_harmonic_poly(tab.d, tab.lam)
     q1 = radial.nth_deriv_poly(1)
     r = np.asarray(r, dtype=float)
@@ -340,6 +336,14 @@ class TestSerializationAndCache:
             again.value_and_deriv(probe)[1], almost_table.value_and_deriv(probe)[1]
         )
         assert again.z == almost_table.z
+
+    def test_overshooting_slopes_rejected(self, almost_table):
+        # one knot's slope scaled past 5x its neighbours' pushes the cubic's
+        # midpoint, y_mid = (y0 + y1)/2 + h (m0 - m1)/8, outside [y1, y0]
+        data = almost_table.to_dict()
+        data["derivs"][len(data["derivs"]) // 2] *= 10.0
+        with pytest.raises(GridTooCoarse, match="log-log cubic overshoots between knots"):
+            TabulatedPotential.from_dict(data)
 
     def test_cache_key_sensitivity(self):
         g = GridSpec()

@@ -35,21 +35,6 @@ class TestGenerateTarget:
         net = generate_target(6, 2, 9, seed=0)
         assert [w.shape for w in net.weights] == [(9, 6), (1, 9)]
 
-    def test_theory_flavor(self):
-        tgt = generate_target(3, 2, 5, seed=1, flavor="theory")
-        assert isinstance(tgt, TargetNetwork)
-        assert tgt.w.shape == (5, 3) and tgt.b.shape == (5,)
-        assert np.all(np.abs(tgt.b) <= 1.0)
-
-    def test_theory_scale_default_is_d_log_d(self):
-        # variance knob defaults to d * ln d
-        d = 3
-        samples = np.vstack(
-            [generate_target(d, 2, 40, seed=s, flavor="theory").w for s in range(60)]
-        )
-        var = samples.var()
-        assert var == pytest.approx(d * np.log(d), rel=0.1)
-
     def test_separated_target_respects_floor(self):
         for seed in range(5):
             tgt = generate_separated_target(3, 3, seed, separation=10.0)
@@ -273,3 +258,13 @@ class TestConfigFile:
     def test_nonpositive_k_and_d_rejected(self, field):
         with pytest.raises(ValueError, match="need k >= 1 and d >= 1"):
             ExperimentConfig(**{field: 0})
+
+    @pytest.mark.parametrize("widths", [(0,), (5, -1)])
+    def test_width_below_one_rejected(self, widths):
+        with pytest.raises(ValueError, match="widths must be >= 1"):
+            ExperimentConfig(widths=widths)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_sgd_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            ExperimentConfig(alpha=alpha)

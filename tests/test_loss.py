@@ -15,7 +15,6 @@ from chargeflow.loss import (
     VectorObjective,
     fd_gradient,
     fd_hessian,
-    hessian,
     theta_laplacian,
 )
 from chargeflow.potentials import (
@@ -31,6 +30,12 @@ from chargeflow.potentials import (
 )
 
 from conftest import separated_points
+
+
+def packed_hessian(obj, hyp, h):
+    """The loss Hessian over the packed (a, theta) vector."""
+    vec = VectorObjective(obj, hyp.k, hyp.d)
+    return vec.hess(vec.pack(hyp), h)
 
 
 def rand_objective(rng, k=3, d=3, c=0.7, reg="none"):
@@ -328,7 +333,7 @@ class TestHessian:
         obj = rand_objective(rng, k=2)
         theta = rng.standard_normal((2, 3))
         hyp = Hypothesis(theta=theta, a=rng.uniform(-1, 1, 2))
-        h = hessian(obj, hyp, h=1e-4)
+        h = packed_hessian(obj, hyp, h=1e-4)
         gram = obj.potential.pairwise(theta, theta)
         np.fill_diagonal(gram, obj.potential.diagonal())
         np.testing.assert_allclose(h[:2, :2], 2.0 * gram, atol=1e-6)
@@ -338,8 +343,8 @@ class TestHessian:
         plain = rand_objective(rng, k=2, reg="none")
         reg = Objective(plain.potential, plain.target, regularization="charge")
         hyp = Hypothesis(theta=rng.standard_normal((2, 3)), a=rng.uniform(-1, 1, 2))
-        h0 = hessian(plain, hyp, h=1e-4)
-        h1 = hessian(reg, hyp, h=1e-4)
+        h0 = packed_hessian(plain, hyp, h=1e-4)
+        h1 = packed_hessian(reg, hyp, h=1e-4)
         np.testing.assert_allclose(h1[:2, :2] - h0[:2, :2], 2.0 * np.eye(2), atol=1e-6)
 
     def test_fd_hessian_on_quadratic(self):
@@ -353,7 +358,7 @@ class TestHessian:
         rng = np.random.default_rng(13)
         obj = rand_objective(rng, k=2)
         hyp = Hypothesis(theta=rng.standard_normal((2, 3)), a=rng.uniform(-1, 1, 2))
-        h = hessian(obj, hyp, h=1e-4)
+        h = packed_hessian(obj, hyp, h=1e-4)
         np.testing.assert_array_equal(h, h.T)
 
     @pytest.mark.parametrize(
@@ -376,7 +381,7 @@ class TestHessian:
             pts = separated_points(rng, k + 3, d, scale=2.0, min_sep=0.5)
         obj = Objective(pot, TargetNetwork(w=pts[k:], b=rng.uniform(-1, 1, 3)))
         theta, a = pts[:k], rng.uniform(-1, 1, k)
-        hess = hessian(obj, Hypothesis(theta=theta, a=a), h=h)
+        hess = packed_hessian(obj, Hypothesis(theta=theta, a=a), h=h)
         for _ in range(5):
             va, vt = rng.standard_normal(k), rng.standard_normal((k, d))
             if sphere:

@@ -203,13 +203,18 @@ class TestEmpiricalDual:
             empirical_dual(Overflowing(), np.zeros(1), np.zeros(1), 50_000, seed=0)
 
     def test_paired_form_used_for_gaussian(self):
-        # paired and unpaired agree when both are finite
+        # the log-sum form against the direct product on the same Philox draws
+        # (one chunk, so the estimate is the plain mean of the products)
         act = GaussianActivation(c=1.0, d=2)
         th = np.array([0.1, 0.2])
         w = np.array([-0.3, 0.4])
-        paired = empirical_dual(act, th, w, 100_000, seed=4, paired=True)
-        unpaired = empirical_dual(act, th, w, 100_000, seed=4, paired=False)
-        assert paired[0] == pytest.approx(unpaired[0], rel=1e-12)
+        n = 100_000
+        rng = np.random.Generator(np.random.Philox(key=np.array([4, 0], dtype=np.uint64)))
+        x = rng.standard_normal((n, 2))
+        direct = act.eval(x, th) * act.eval(x, w)
+        est, se = empirical_dual(act, th, w, n, seed=4)
+        assert est == pytest.approx(direct.mean(), rel=1e-12)
+        assert se == pytest.approx(direct.std(ddof=1) / np.sqrt(n), rel=1e-9)
 
 
 class TestGramPositivity:

@@ -247,7 +247,13 @@ def stationarity_check(objective, x, eps):
 @dataclass(frozen=True)
 class RandomBallInit:
     """Best of ``trials`` uniform samples from the radius-``radius`` ball,
-    each scored by the loss change of its optimal outer weight."""
+    each scored by the loss change of its optimal outer weight.
+
+    Scoring is pruned exactly: for a kernel certified non-negative and
+    non-increasing in the separation (``Potential.radially_nonincreasing``)
+    only the samples that can still beat the best score so far are scored,
+    and the winner keeps the bits of scoring every sample. Any other kernel
+    scores every sample."""
 
     radius: float
     trials: int = 200
@@ -261,27 +267,110 @@ class RandomBallInit:
 
 
 _TRIAL_CHUNK = 1 << 19
+# samples of a node's first chunk scored before pruning, to set its threshold
+_PREFIX = 4096
+# relative margin of every pruning comparison, far above the rounding of |S|
+_SLACK = 1e-9
+# candidate pruning radii, as fractions of the farthest reachable separation
+_RADIUS_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 4096)])
 
 
-def _best_trial(obj: Objective, rng, radius, m):
-    """Score m uniform samples from the radius ball by their optimal outer
-    weight; returns (a, theta, change) of the best. Only the copied best point
-    outlives the call, so one chunk's arrays are freed before the next."""
-    d = obj.target.d
-    direction = rng.standard_normal((m, d))
+def _ball_points(z, u, radius):
+    """Ball samples from normals z (m, d) and uniforms u (m,): direction
+    z / |z| at radius ``radius * u^(1/d)``, computed row by row, so a subset
+    of rows gives the same bits as the whole chunk."""
+    d = z.shape[1]
     # row norms as distances to the origin: the kernel blocks' per-coordinate sum
-    direction /= pair_distances(direction, np.zeros((1, d)))
-    radii = radius * rng.uniform(size=m) ** (1.0 / d)
-    pts = direction * radii[:, None]
-    a, changes = obj.optimal_outer_weight(pts)
+    direction = z / pair_distances(z, np.zeros((1, d)))
+    return direction * (radius * u ** (1.0 / d))[:, None]
+
+
+def _prune_radius(obj: Objective, t, reach):
+    """A separation R with sum_j |b_j| phi(R) <= t (1 - slack), read off one
+    ``phi`` call on a grid up to ``reach``; inf when there is none or the
+    kernel is not certified non-increasing. Then no sample farther than R
+    from every fixed point scores |S| >= t (1 - slack)."""
+    pot = obj.potential
+    if not pot.radially_nonincreasing:
+        return np.inf
+    grid = reach * _RADIUS_GRID
+    ok = np.abs(obj.target.b).sum() * np.asarray(pot.phi(grid)) <= t * (1.0 - _SLACK)
+    return float(grid[np.argmax(ok)]) if ok.any() else np.inf
+
+
+def _may_beat(obj: Objective, z, u, radius, t):
+    """Keep mask over the raw draws: the rows whose ball point may lie
+    within the pruning radius R of some fixed point w_j, by two tests that
+    need no pow or sqrt per row, each widened by the relative slack:
+    |theta| within R of |w_j| (a shell in u), and, when R < |w_j|, the
+    direction of z within the cone around w_j that the ball B(w_j, R)
+    subtends. Every row scoring |S| >= t (1 - slack) is kept."""
+    m, d = z.shape
+    w = obj.target.w
+    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
+    big_r = _prune_radius(obj, t, radius + float(norms.max())) * (1.0 + _SLACK)
+    if big_r == np.inf:
+        return np.ones(m, dtype=bool)
+    keep = np.zeros(m, dtype=bool)
+    for wj, n in zip(w, norms):
+        lo = (max(n - big_r, 0.0) / radius) ** d * (1.0 - _SLACK)
+        hi = ((n + big_r) / radius) ** d * (1.0 + _SLACK)
+        rows = np.flatnonzero((u >= lo) & (u <= hi))
+        if big_r < n:
+            zr = z[rows]
+            zw = zr @ wj
+            # cos^2 of the angle to w_j at least 1 - (R / |w_j|)^2
+            cut = (n - big_r) * (n + big_r) * (1.0 - _SLACK)
+            rows = rows[(zw > 0.0) & (zw * zw >= np.einsum("ij,ij->i", zr, zr) * cut)]
+        keep[rows] = True
+    return keep
+
+
+def _best_trial(obj: Objective, rng, radius, m, top):
+    """Score m uniform samples from the radius ball by their optimal outer
+    weight; returns (a, theta, change, |S|) of the best. ``top`` is the
+    pruning threshold, the largest |S| scored so far; None scores the
+    chunk's first rows to set it.
+
+    Only the kept rows are built and get kernel rows, written at their row
+    positions into a zero block whose one matvec gives every kept row the
+    bits of the full chunk (a one-row block rounds differently). Pruned rows
+    read S = 0, which never beats a strictly negative change; when the
+    first minimum is a pruned row the chunk cannot win and this returns
+    None. Only the copied best point outlives the call, so one chunk's
+    arrays are freed before the next."""
+    z = rng.standard_normal((m, obj.target.d))
+    u = rng.uniform(size=m)
+    b = obj.target.b
+    head = 0
+    if top is None:
+        head = min(m, _PREFIX)
+        top = float(np.max(np.abs(obj.cross_block(_ball_points(z[:head], u[:head], radius)) @ b)))
+    keep = _may_beat(obj, z, u, radius, top)
+    keep[:head] = True
+    rows = np.flatnonzero(keep)
+    pts = _ball_points(z[rows], u[rows], radius)
+    block = np.zeros((m, obj.target.k))
+    block[rows] = obj.cross_block(pts)
+    s = block @ b
+    a, changes = obj.outer_optimum(s)
     idx = int(np.argmin(changes))
-    return a[idx], pts[idx].copy(), float(changes[idx])
+    if not keep[idx]:
+        return None
+    return a[idx], pts[np.searchsorted(rows, idx)].copy(), float(changes[idx]), abs(float(s[idx]))
 
 
 def initialize_node(obj: Objective, policy: RandomBallInit, seed=0):
     """Initialize one mobile node on the (restricted) objective at the best
     of the policy's ball samples, drawn from the Philox stream keyed by
-    (seed, 0) in chunks of 2^19.
+    (seed, 0) in chunks of 2^19 (normals, then uniforms, per chunk).
+
+    Scoring is exact pruning: with a kernel certified non-negative and
+    non-increasing in r, |S| <= sum_j |b_j| phi(|theta - w_j|), so a sample
+    farther than R from every fixed point, where sum_j |b_j| phi(R) sits
+    below the best |S| actually scored so far, cannot win and is not
+    scored. The returned (a, theta, change) has the bits of scoring every
+    sample.
 
     Returns (a, theta, loss_change) where loss_change is the signed change
     against a = 0 (negative when the initialization strictly improves).
@@ -289,11 +378,12 @@ def initialize_node(obj: Objective, policy: RandomBallInit, seed=0):
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     best = (None, None, np.inf)
+    top = None
     for start in range(0, policy.trials, _TRIAL_CHUNK):
         m = min(policy.trials - start, _TRIAL_CHUNK)
-        trial = _best_trial(obj, rng, policy.radius, m)
-        if trial[2] < best[2]:
-            best = trial
+        trial = _best_trial(obj, rng, policy.radius, m, top)
+        if trial is not None and trial[2] < best[2]:
+            best, top = trial[:3], trial[3]
     a, theta, change = best
     if change >= 0.0:
         raise InitializationFailed(

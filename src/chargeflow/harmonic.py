@@ -263,6 +263,12 @@ class TabulatedPotential:
     beyond the last knot, and extends constantly below the first positive knot.
     A cubic whose interval midpoint leaves the range of its knots raises
     GridTooCoarse.
+
+    ``nonincreasing`` certifies that the kernel never rises with r: the knot
+    values do not rise, every log-log cubic passes the Fritsch-Carlson test
+    (alpha, beta >= 0 and alpha^2 + beta^2 <= 9, a sufficient condition for
+    a monotone cubic Hermite) and the closed-form tail's polynomial has
+    non-negative coefficients.
     """
 
     d: int
@@ -293,6 +299,16 @@ class TabulatedPotential:
         self._c = coeffs
         self._tail = LambdaHarmonicRadial(d=self.d, lam=self.lam, coeffs=self.p_coeffs)
         self._build_knot_index()
+        # Fritsch-Carlson on every log-log cubic, times the secant slope s
+        # so a flat interval needs no case: alpha = m0 / s and beta = m1 / s
+        # non-negative with alpha^2 + beta^2 <= 9
+        s = np.diff(y) / np.diff(x)
+        m0, m1 = dydx[:-1], dydx[1:]
+        self.nonincreasing = bool(
+            np.all(np.diff(self.values) <= 0.0)
+            and np.all((m0 * s >= 0.0) & (m1 * s >= 0.0) & (m0 * m0 + m1 * m1 <= 9.0 * s * s))
+            and np.all(self.p_coeffs >= 0.0)
+        )
 
     def _build_knot_index(self):
         """Bucket table for :meth:`_knot_index` (the bucketed "hunt" lookup,

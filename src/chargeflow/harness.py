@@ -258,6 +258,18 @@ def recovery_experiment(config: ExperimentConfig, table_loader=None):
     position error, max outer-weight error) plus the success count at the 0.1
     tolerance.
     """
+    # bad descent or init options fail here, before the kernel tabulation
+    # and the first target; the policy at radius radius_mult is the one for
+    # a target of unit norm
+    base_cfg = DescentConfig(
+        T=config.descent_T,
+        alpha=config.descent_alpha,
+        eta=config.descent_eta,
+        gamma=config.descent_gamma,
+        alpha_scale="init-charge",
+        trace_stride=config.trace_stride,
+    )
+    RandomBallInit(radius=config.radius_mult, trials=config.trials)
     pot = parse_potential(config.potential, table_loader=table_loader)
     d = getattr(pot, "d", 3)
     records = []
@@ -266,15 +278,7 @@ def recovery_experiment(config: ExperimentConfig, table_loader=None):
         obj = Objective(pot, target)
         radius = config.radius_mult * float(np.max(np.linalg.norm(target.w, axis=1)))
         policy = RandomBallInit(radius=radius, trials=config.trials)
-        cfg = DescentConfig(
-            T=config.descent_T,
-            alpha=config.descent_alpha,
-            eta=config.descent_eta,
-            gamma=config.descent_gamma,
-            seed=seed * 1000,
-            alpha_scale="init-charge",
-            trace_stride=config.trace_stride,
-        )
+        cfg = replace(base_cfg, seed=seed * 1000)
         t0 = time.perf_counter()
         result = node_wise_descent(obj, policy, cfg)
         perm, max_dist, max_charge = match_to_target(result.theta, result.a, target)

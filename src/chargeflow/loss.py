@@ -158,12 +158,16 @@ class Objective:
         One point ``(d,)`` gives floats; a batch ``(m, d)`` gives arrays of
         the m independent single-node optima.
         """
-        quad = self.outer_curvature()
-        s = self.cross_block(theta) @ self.target.b
-        a_star, change = -s / quad, -s * s / quad
+        a_star, change = self.outer_optimum(self.cross_block(theta) @ self.target.b)
         if np.ndim(theta) == 1:
             return float(a_star[0]), float(change[0])
         return a_star, change
+
+    def outer_optimum(self, s):
+        """(a*, change) of :meth:`optimal_outer_weight` from the cross sums
+        S = sum_j b_j K(theta, w_j) of an array of nodes."""
+        quad = self.outer_curvature()
+        return -s / quad, -s * s / quad
 
     def solve_optimal_a(self, theta):
         """Exact minimizer of the quadratic in the full outer-weight vector.

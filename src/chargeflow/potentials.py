@@ -86,6 +86,9 @@ class Potential:
     finite_diagonal = True
     smooth_origin = False  # True when grad exists at zero separation
     raw_singular = False  # True when the pointwise form diverges as r -> 0
+    # True only when phi is certified non-negative and non-increasing in the
+    # separation r, the property init scoring prunes with
+    radially_nonincreasing = False
 
     def diagonal(self):
         """Normalized value at theta == w (the a_i^2 self-term of the loss)."""
@@ -201,6 +204,7 @@ class GaussianPotential(Potential):
     """exp(-c r^2 / 2); strictly positive Laplacian outside r^2 = d/c."""
 
     smooth_origin = True
+    radially_nonincreasing = True
 
     def __init__(self, c=1.0):
         if not 0 < c < np.inf:
@@ -285,6 +289,7 @@ class AlmostHarmonicPotential(Potential):
 
     def __init__(self, table: harmonic.TabulatedPotential):
         self.table = table
+        self.radially_nonincreasing = table.nonincreasing
         self.eps = table.eps
         self.lam = table.lam
         self.d = table.d
@@ -305,6 +310,8 @@ class AlmostHarmonicPotential(Potential):
 
 class LaplaceExpPotential(Potential):
     """exp(-sqrt(lam) r); the one-dimensional Laplacian eigenfunction kernel."""
+
+    radially_nonincreasing = True
 
     def __init__(self, lam=1.0):
         if not 0 <= lam < np.inf:

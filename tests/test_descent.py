@@ -22,8 +22,15 @@ from chargeflow.errors import (
     InitializationFailed,
     NonDifferentiablePoint,
 )
+from chargeflow import descent
+from chargeflow.harmonic import TabulatedPotential
 from chargeflow.loss import Objective, TargetNetwork, VectorObjective
-from chargeflow.potentials import GaussianPotential, parse_potential
+from chargeflow.potentials import (
+    AlmostHarmonicPotential,
+    GaussianPotential,
+    LaplaceExpPotential,
+    parse_potential,
+)
 
 
 def quadratic_objective(m, q=None):
@@ -502,6 +509,155 @@ class TestInitializeNode:
     def test_bad_policy_rejected(self, radius, trials):
         with pytest.raises(ValueError, match="need trials >= 1 and radius > 0 and finite"):
             RandomBallInit(radius, trials=trials)
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+def exhaustive_init(obj, policy, seed):
+    """Oracle for initialize_node: replay the Philox (seed, 0) stream chunk
+    by chunk, build every ball point, score every one with
+    optimal_outer_weight and keep the first strict improvement."""
+    rng = philox(seed)
+    d = obj.target.d
+    best = (None, None, np.inf)
+    for start in range(0, policy.trials, 1 << 19):
+        m = min(policy.trials - start, 1 << 19)
+        pts = chunk_points(rng, m, d, policy.radius)
+        a, changes = obj.optimal_outer_weight(pts)
+        i = int(np.argmin(changes))
+        if changes[i] < best[2]:
+            best = (a[i], pts[i], changes[i])
+    return best
+
+
+def chunk_points(rng, m, d, radius):
+    """One chunk of uniform ball points: m normals, then m uniforms."""
+    z = rng.standard_normal((m, d))
+    u = rng.uniform(size=m)
+    return z / np.sqrt(np.sum(z * z, axis=1, keepdims=True)) * (radius * u ** (1.0 / d))[:, None]
+
+
+def init_objectives(pot):
+    """The full objective of a mixed-sign two-node target and its
+    restriction with one frozen node."""
+    w = np.array([[2.0, -1.0, 0.5], [-1.5, 0.5, 2.0]])
+    full = Objective(pot, TargetNetwork(w=w, b=[0.8, -0.6]))
+    return {"full": full, "restricted": full.restricted(np.array([[1.9, -1.1, 0.6]]), [-0.7])}
+
+
+def uncertified_table(table):
+    """The table with its slopes scaled 4x: the midpoint overshoot check
+    still passes, but each log-log cubic now dips and rises again."""
+    data = table.to_dict()
+    data["derivs"] = (4.0 * np.asarray(data["derivs"])).tolist()
+    return TabulatedPotential.from_dict(data)
+
+
+class TestPrunedInit:
+    CHUNK = 1 << 19
+
+    @pytest.fixture(params=["gauss", "almost"])
+    def pot(self, request, almost_table):
+        if request.param == "gauss":
+            return parse_potential("gauss:c=1")
+        return AlmostHarmonicPotential(almost_table)
+
+    @pytest.fixture
+    def kept(self, monkeypatch):
+        """Reads the rows scored per chunk (the keep masks, which a first
+        chunk extends by its prefix after the pruning test)."""
+        masks = []
+        may_beat = descent._may_beat
+
+        def spy(*args):
+            masks.append(may_beat(*args))
+            return masks[-1]
+
+        monkeypatch.setattr(descent, "_may_beat", spy)
+        return lambda: [int(keep.sum()) for keep in masks]
+
+    @pytest.mark.parametrize("which", ["full", "restricted"])
+    # at seed 2 the winner of every case below lies in the second chunk
+    @pytest.mark.parametrize("trials,seed", [(2 * CHUNK + 1000, 2), (1000, 3)])
+    def test_equals_exhaustive_oracle(self, pot, which, trials, seed, kept):
+        obj = init_objectives(pot)[which]
+        policy = RandomBallInit(4.0, trials=trials)
+        got = initialize_node(obj, policy, seed=seed)
+        want = exhaustive_init(obj, policy, seed)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(got[1], want[1])
+        scored = kept()
+        if trials > self.CHUNK:
+            # every chunk after the first was pruned
+            assert len(scored) == 3 and max(scored[1:]) < self.CHUNK // 2
+        else:
+            # a chunk below the prefix size is scored whole
+            assert scored == [trials]
+
+    def test_later_chunk_without_survivors(self, almost_table, kept):
+        obj = init_objectives(AlmostHarmonicPotential(almost_table))["restricted"]
+        policy = RandomBallInit(4.0, trials=2 * self.CHUNK + 1000)
+        got = initialize_node(obj, policy, seed=1)
+        assert kept()[-1] == 0
+        want = exhaustive_init(obj, policy, 1)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(got[1], want[1])
+
+    def test_lone_survivor_keeps_bulk_bits(self, monkeypatch):
+        # K @ b on a one-row block can round differently from the product
+        # over the whole chunk, so a lone kept row must still be scored
+        # inside the full-chunk block
+        obj = init_objectives(GaussianPotential(1.0))["full"]
+        m, radius = 1 << 16, 4.0
+        for seed in range(12):
+            pts = chunk_points(philox(seed), m, 3, radius)
+            a, changes = obj.optimal_outer_weight(pts)
+            i = int(np.argmin(changes))
+            lone = np.zeros(m, dtype=bool)
+            lone[i] = True
+            monkeypatch.setattr(descent, "_may_beat", lambda *args: lone.copy())
+            # a threshold is given, so no prefix joins the patched mask
+            got = descent._best_trial(obj, philox(seed), radius, m, top=1.0)
+            assert got[0] == a[i] and got[2] == changes[i]
+            assert np.array_equal(got[1], pts[i])
+
+    @pytest.mark.parametrize("which", ["full", "restricted"])
+    def test_keeps_every_row_that_can_reach_the_threshold(self, pot, which):
+        obj = init_objectives(pot)[which]
+        radius, m = 4.0, self.CHUNK
+        rng = philox(5)
+        z = rng.standard_normal((m, 3))
+        u = rng.uniform(size=m)
+        pts = z / np.sqrt(np.sum(z * z, axis=1, keepdims=True)) * (radius * u ** (1.0 / 3))[:, None]
+        score = np.abs(obj.cross_block(pts) @ obj.target.b)
+        # thresholds as a first chunk sets them and as later chunks see them
+        for t in (np.max(score[:4096]), np.quantile(score, 0.9999)):
+            keep = descent._may_beat(obj, z, u, radius, t)
+            assert keep[score >= t * (1.0 - 1e-9)].all()
+            assert keep.mean() < 0.5
+
+    def test_uncertified_kernel_prunes_nothing(self, almost_table, kept):
+        bumpy = uncertified_table(almost_table)
+        r = np.linspace(0.0, 10.0, 100_001)
+        assert np.any(np.diff(bumpy.value(r)) > 0.0)
+        pot = AlmostHarmonicPotential(bumpy)
+        assert not pot.radially_nonincreasing
+        obj = init_objectives(pot)["restricted"]
+        policy = RandomBallInit(4.0, trials=self.CHUNK + 1000)
+        got = initialize_node(obj, policy, seed=2)
+        assert kept() == [self.CHUNK, 1000]
+        want = exhaustive_init(obj, policy, 2)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(got[1], want[1])
+
+    def test_certified_kernels(self, almost_table):
+        assert AlmostHarmonicPotential(almost_table).radially_nonincreasing
+        assert GaussianPotential(1.0).radially_nonincreasing
+        assert LaplaceExpPotential(1.0).radially_nonincreasing
+        for kind in ("explh:lambda=1,d=3", "coulomb:d=3", "log", "sign", "poly:l=3"):
+            assert not parse_potential(kind).radially_nonincreasing
 
 
 class TestNodeWise:

@@ -325,6 +325,38 @@ class TestKnotLookup:
         np.testing.assert_array_equal(der[finite], tab.value_and_deriv(r[finite])[1])
 
 
+class TestMonotoneCertificate:
+    """``nonincreasing``, the property exact init pruning rests on."""
+
+    @pytest.mark.parametrize("eps,lam", [(0.1, 1.0), (0.05, 1.0), (0.1, 0.0)])
+    def test_built_tables_certified(self, eps, lam, almost_table, almost_table_fine):
+        tables = {(0.1, 1.0): almost_table, (0.05, 1.0): almost_table_fine}
+        tab = tables.get((eps, lam)) or build_almost_harmonic(3, eps, lam)
+        assert tab.nonincreasing
+        # the certificate's claim, on a fine grid across the seam and r_max
+        assert np.all(np.diff(tab.value(np.linspace(0.0, 25.0, 200_001))) <= 0.0)
+
+    def test_steep_slopes_fail_fritsch_carlson(self, almost_table):
+        # slopes 4x the secants keep every cubic's midpoint at the knots'
+        # mean (the overshoot check passes) while the cubic rises inside
+        data = almost_table.to_dict()
+        data["derivs"] = (4.0 * np.asarray(data["derivs"])).tolist()
+        tab = TabulatedPotential.from_dict(data)
+        assert not tab.nonincreasing
+        assert np.any(np.diff(tab.value(np.linspace(0.0, 10.0, 100_001))) > 0.0)
+
+    @pytest.mark.parametrize("field", ["values", "p_coeffs"])
+    def test_rising_knot_or_signed_tail_uncertified(self, almost_table, field):
+        data = almost_table.to_dict()
+        if field == "values":
+            # a knot value raised past its left neighbour (the cubics still
+            # pass the overshoot check: the raised knot's slope is kept)
+            data["values"][1] = data["values"][0] * 1.01
+        else:
+            data["p_coeffs"] = [-1.0]
+        assert not TabulatedPotential.from_dict(data).nonincreasing
+
+
 class TestSerializationAndCache:
     def test_round_trip(self, almost_table, tmp_path):
         path = tmp_path / "tab.json"

@@ -161,6 +161,27 @@ class TestRecovery:
             assert rec["max_charge_err"] < 0.1
 
 
+class TestRecoveryOptionsFailFast:
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("descent_alpha", float("nan"), "alpha=nan"),
+            ("descent_eta", float("inf"), "eta=inf"),
+            ("descent_gamma", -1.0, "gamma=-1.0"),
+            ("descent_T", 0, "T=0"),
+            ("radius_mult", 0.0, "radius > 0"),
+            ("radius_mult", float("inf"), "radius > 0 and finite"),
+        ],
+    )
+    def test_rejected_before_the_tabulation(self, field, value, message):
+        def loader(d, eps, lam):
+            pytest.fail("the kernel tabulation was loaded before the options were checked")
+
+        cfg = ExperimentConfig(experiment="recovery", k=1, seeds=(0,), **{field: value})
+        with pytest.raises(ValueError, match=message):
+            recovery_experiment(cfg, table_loader=loader)
+
+
 class TestRecoveryGaussianKernel:
     def test_moderate_separation(self):
         # the Gaussian kernel couples nodes only within a few sqrt(d/c) radii,

@@ -334,11 +334,11 @@ def _best_trial(obj: Objective, rng, radius, m, top):
 
     Only the kept rows are built and get kernel rows, written at their row
     positions into a zero block whose one matvec gives every kept row the
-    bits of the full chunk (a one-row block rounds differently). Pruned rows
-    read S = 0, which never beats a strictly negative change; when the
-    first minimum is a pruned row the chunk cannot win and this returns
-    None. Only the copied best point outlives the call, so one chunk's
-    arrays are freed before the next."""
+    bits of the full chunk (a one-row block rounds differently). A pruned
+    row cannot beat a strictly negative change, so the optimum is taken
+    over the kept rows only; when none of them decreases the loss the chunk
+    cannot win and this returns None. Only the copied best point outlives
+    the call, so one chunk's arrays are freed before the next."""
     z = rng.standard_normal((m, obj.target.d))
     u = rng.uniform(size=m)
     b = obj.target.b
@@ -352,12 +352,12 @@ def _best_trial(obj: Objective, rng, radius, m, top):
     pts = _ball_points(z[rows], u[rows], radius)
     block = np.zeros((m, obj.target.k))
     block[rows] = obj.cross_block(pts)
-    s = block @ b
+    s = (block @ b)[rows]
     a, changes = obj.outer_optimum(s)
-    idx = int(np.argmin(changes))
-    if not keep[idx]:
+    if not np.any(changes < 0.0):
         return None
-    return a[idx], pts[np.searchsorted(rows, idx)].copy(), float(changes[idx]), abs(float(s[idx]))
+    i = int(np.argmin(changes))
+    return a[i], pts[i].copy(), float(changes[i]), abs(float(s[i]))
 
 
 def initialize_node(obj: Objective, policy: RandomBallInit, seed=0):

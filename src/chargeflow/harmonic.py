@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,24 +117,15 @@ class LambdaHarmonicRadial:
         rather than inf * 0, and no power of r overflows."""
         r = np.asarray(r, dtype=float)
         s = self.s
-        e = np.exp(-s * r)  # before the capped copy: one fewer live array
-        return np.minimum(r, _EXP_UNDERFLOW / s), e
+        return np.minimum(r, _EXP_UNDERFLOW / s), np.exp(-s * r)
 
     def phi(self, r):
-        if self.lam == 0:
-            # p = 1: the harmonic r^(2-d), which underflows to 0 unaided
-            return np.asarray(r, dtype=float) ** (2 - self.d)
-        # init scoring calls this on millions of radii: working in place on
-        # the two fresh arrays keeps recovery's peak memory where it was
-        r, e = self._capped(r)
-        e *= _poly_eval(self.coeffs, r)
-        r **= self.d - 2
-        e /= r
-        return e
+        return self.phi_and_deriv(r)[0]
 
     def phi_and_deriv(self, r):
         """(phi, phi') sharing one exp(-s r)."""
         if self.lam == 0:
+            # p = 1: the harmonic r^(2-d), which underflows to 0 unaided
             r = np.asarray(r, dtype=float)
             return r ** (2 - self.d), (2 - self.d) * r ** (1 - self.d)
         r, e = self._capped(r)
@@ -298,7 +290,6 @@ class TabulatedPotential:
         self._x = x
         self._c = coeffs
         self._tail = LambdaHarmonicRadial(d=self.d, lam=self.lam, coeffs=self.p_coeffs)
-        self._build_knot_index()
         # Fritsch-Carlson on every log-log cubic, times the secant slope s
         # so a flat interval needs no case: alpha = m0 / s and beta = m1 / s
         # non-negative with alpha^2 + beta^2 <= 9
@@ -309,27 +300,6 @@ class TabulatedPotential:
             and np.all((m0 * s >= 0.0) & (m1 * s >= 0.0) & (m0 * m0 + m1 * m1 <= 9.0 * s * s))
             and np.all(self.p_coeffs >= 0.0)
         )
-
-    def _build_knot_index(self):
-        """Bucket table for :meth:`_knot_index` (the bucketed "hunt" lookup,
-        Numerical Recipes 3.1): 8 uniform buckets per average knot interval
-        over ``_x``, each starting at the last knot at or below its left
-        edge, plus enough upward passes to reach the answer anywhere in the
-        bucket or the next one (the bucket index may be rounded up or down
-        by one)."""
-        x = self._x
-        n = x.size
-        buckets = 8 * (n - 1)
-        self._b_scale = buckets / (x[-1] - x[0])
-        # left edges, pulled in by several times the rounding error of
-        # (q - x[0]) * scale so a rounded-up bucket never starts past q
-        slack = 8.0 * np.finfo(float).eps * buckets
-        edges = x[0] + (np.arange(buckets + 3) - slack) / self._b_scale
-        below = np.minimum(x.searchsorted(edges, side="right") - 1, n - 2)
-        self._b_start = np.maximum(below[:-1], 0)
-        self._b_passes = int(np.max(below[2:] - self._b_start[:-1]))
-        # the last interval's upper knot is never passed: idx stays <= n - 2
-        self._next = np.append(x[1:-1], np.inf)
 
     @staticmethod
     def _hermite_coeffs(x, y, m):
@@ -344,67 +314,36 @@ class TabulatedPotential:
 
     # -- evaluation --------------------------------------------------------
 
-    def _knot_index(self, x):
-        """Interval of each log-radius in [_x[0], _x[-1]]: the last knot at
-        or below it, the top knot mapped to the last interval (the same as
-        ``searchsorted(x, "right") - 1`` clamped to n - 2)."""
-        idx = self._b_start[((x - self._x[0]) * self._b_scale).astype(np.intp)]
-        for _ in range(self._b_passes):
-            idx += x >= self._next[idx]
-        return idx
-
-    def _interp(self, x, deriv):
-        """Log-log cubic at log-radii ``x``: (y, dy/dx), dy only when ``deriv``."""
-        idx = self._knot_index(x)
+    def _evaluate(self, r):
+        """(value, d value / d r): the constant below the first positive
+        knot, the log-log cubic up to the last knot, the closed-form tail
+        beyond it and for NaN. Every region is evaluated at every radius
+        (clamped into its range) and ``where`` picks per radius."""
+        r = np.asarray(r, dtype=float)
+        g = self.r_grid
+        rc = np.minimum(np.maximum(r, g[1]), g[-1])
+        x = np.log(rc)
+        # the top knot falls in the last interval
+        idx = np.minimum(self._x.searchsorted(x, side="right") - 1, self._x.size - 2)
         t = x - self._x[idx]
-        # one gather into contiguous coefficient rows, which the cubic
-        # then streams through
-        c = self._c.take(idx, axis=1)
-        c0, c1, c2, c3 = c[0], c[1], c[2], c[3]
-        y = ((c3 * t + c2) * t + c1) * t + c0
-        dy = (3.0 * c3 * t + 2.0 * c2) * t + c1 if deriv else None
-        return y, dy
-
-    def _evaluate(self, r, deriv):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        shape = r_arr.shape
-        r_flat = r_arr.ravel()
-        val = np.empty_like(r_flat)
-        der = np.zeros_like(r_flat) if deriv else None
-        lo = r_flat < self.r_grid[1]
-        # NaN is past r_max here: the closed-form tail returns it as NaN
-        hi = ~(r_flat <= self.r_grid[-1])
-        val[lo] = self.values[0]
-        # integer indices, not masks, move the two regions: a boolean gather
-        # or scatter over a random mix costs two to three times as much
-        mid = np.flatnonzero(~(lo | hi))
-        if mid.size:
-            # _interp frees its coefficient gather before exp (bulk peak memory)
-            y, dy = self._interp(np.log(r_flat[mid]), deriv)
-            v = np.exp(y)
-            val[mid] = v
-            if deriv:
-                der[mid] = v * dy / r_flat[mid]
-        far = np.flatnonzero(hi)
-        if far.size:
-            r_far = r_flat[far]
-            if deriv:
-                tail, slope = self._tail.phi_and_deriv(r_far)
-                der[far] = slope / self.z
-            else:
-                tail = self._tail.phi(r_far)
-            val[far] = tail / self.z
-        if np.ndim(r) == 0:
-            return float(val[0]), (float(der[0]) if deriv else None)
-        return val.reshape(shape), (der.reshape(shape) if deriv else None)
+        c0, c1, c2, c3 = self._c.take(idx, axis=1)
+        v = np.exp(((c3 * t + c2) * t + c1) * t + c0)
+        dv = v * ((3.0 * c3 * t + 2.0 * c2) * t + c1) / rc
+        tail, slope = self._tail.phi_and_deriv(np.maximum(r, g[-1]))
+        below, on_grid = r < g[1], r <= g[-1]
+        val = np.where(below, self.values[0], np.where(on_grid, v, tail / self.z))
+        der = np.where(below, 0.0, np.where(on_grid, dv, slope / self.z))
+        if val.ndim == 0:
+            return float(val), float(der)
+        return val, der
 
     def value(self, r):
         """Normalized kernel value; a float for scalar ``r``, else ``r``'s shape."""
-        return self._evaluate(r, deriv=False)[0]
+        return self._evaluate(r)[0]
 
     def value_and_deriv(self, r):
-        """(value, d value / d r) in one interpolation pass."""
-        return self._evaluate(r, deriv=True)
+        """(value, d value / d r) in one pass."""
+        return self._evaluate(r)
 
     # -- serialization -----------------------------------------------------
 
@@ -566,7 +505,14 @@ def load_or_build_almost_harmonic(d, eps, lam=1.0, grid=None, directory=None):
         return TabulatedPotential.load(path)
     tab = build_almost_harmonic(d, eps, lam, grid)
     os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    tab.save(tmp)
-    os.replace(tmp, path)
+    # a temp file per writer: builds that overlap each move their own file
+    # into place, and the last one wins
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
+    try:
+        tab.save(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return tab

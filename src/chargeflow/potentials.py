@@ -114,8 +114,7 @@ class Potential:
         if self.manifold == SPHERE:
             s = np.clip(x @ ys.T, -1.0, 1.0)
         else:
-            # recovery's iteration counts were recorded with these bits; init
-            # scoring runs this on 2^19 x k blocks
+            # recovery's iteration counts were recorded with these bits
             s = pair_distances(x, ys)
         if y is None:
             np.fill_diagonal(s, 0.0 if self.manifold == SPHERE else 1.0)

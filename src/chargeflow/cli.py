@@ -105,8 +105,9 @@ def cmd_table(args):
     by_depth = {}
     for row in rows:
         by_depth.setdefault(row.depth, []).append(row.test_err)
+    # stderr, so that the CSV on stdout stays parseable
     for depth in sorted(by_depth):
-        print(f"depth {depth}: mean test error {np.mean(by_depth[depth]):.5f}")
+        print(f"depth {depth}: mean test error {np.mean(by_depth[depth]):.5f}", file=sys.stderr)
     return 0
 
 
@@ -211,7 +212,7 @@ def _verify_verdicts(seed=0):
 
     theta = np.zeros(4)
     theta[:2] = 1.0 / np.sqrt(2.0)
-    verdicts.append(landscape.poly_orthonormal_check(3, 4, theta, np.ones(4)))
+    verdicts.append(landscape.poly_orthonormal_check(3, theta, np.ones(4)))
     return verdicts
 
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +31,8 @@ SCHEMA_VERSION = 1
 
 # exp(-x) rounds to 0.0 for every x >= this (the smallest subnormal is e^-744.4)
 _EXP_UNDERFLOW = 746.0
+# absolute agreement between successive Simpson doublings of the construction
+_QUADRATURE_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (ascending coefficient arrays)
@@ -213,9 +215,6 @@ class GridSpec:
         pos = pos[np.abs(pos - eps) > 0.25 * spacing]
         return np.concatenate([[0.0], np.sort(np.append(pos, eps))])
 
-    def as_dict(self):
-        return {"n": self.n, "inner_factor": self.inner_factor, "r_max": self.r_max}
-
 
 def _base_value(x, eps, r):
     """Matched ball-overlap integral kernel value at r <= eps, diameter parameter x >= eps.
@@ -272,7 +271,6 @@ class TabulatedPotential:
     z: float
     p_coeffs: np.ndarray
     grid_spec: GridSpec
-    version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         r = self.r_grid[1:]
@@ -349,13 +347,13 @@ class TabulatedPotential:
 
     def to_dict(self):
         return {
-            "schema_version": self.version,
+            "schema_version": SCHEMA_VERSION,
             "d": self.d,
             "eps": self.eps,
             "lam": self.lam,
             "z": self.z,
             "p_coeffs": self.p_coeffs.tolist(),
-            "grid_spec": self.grid_spec.as_dict(),
+            "grid_spec": asdict(self.grid_spec),
             "r_grid": self.r_grid.tolist(),
             "values": self.values.tolist(),
             "derivs": self.derivs.tolist(),
@@ -373,7 +371,6 @@ class TabulatedPotential:
             z=float(data["z"]),
             p_coeffs=np.asarray(data["p_coeffs"], dtype=float),
             grid_spec=GridSpec(**data["grid_spec"]),
-            version=int(data["schema_version"]),
         )
 
     def save(self, path):
@@ -386,15 +383,13 @@ class TabulatedPotential:
             return cls.from_dict(json.load(fh))
 
 
-def build_almost_harmonic(d, eps, lam=1.0, grid=None, tol=1e-10):
+def build_almost_harmonic(d, eps, lam=1.0, grid=None):
     """Tabulate the bounded kernel that is an exact Laplacian eigenfunction for r >= eps.
 
     Inside [0, eps) the kernel is the weight-(d+1)-derivative mixture of
     matched ball-overlap bases; outside it coincides with
     p(r) e^{-sqrt(lam) r} / r^(d-2) up to the common normalization z.
     """
-    if d % 4 != 3:
-        raise UnsupportedDimension(f"construction requires d = 3 mod 4, got d={d}")
     if d != 3:
         raise UnsupportedDimension(
             "construction weight uses the closed-form fourth derivative; only d=3 is tabulated"
@@ -433,7 +428,7 @@ def build_almost_harmonic(d, eps, lam=1.0, grid=None, tol=1e-10):
         wx = weight(x) * x
         return np.stack([wx * _base_value(x, eps, 0.0), wx * _base_value(x, eps, eps)])
 
-    n = _simpson_doubling(probe, u_lo, u_hi, tol, 512, 8)
+    n = _simpson_doubling(probe, u_lo, u_hi, _QUADRATURE_TOL, 512, 8)
     u, wq = _simpson_nodes(u_lo, u_hi, n)
     x = np.exp(u)
     wx = weight(x) * x
@@ -490,16 +485,17 @@ def cache_dir():
 
 def cache_key(d, eps, lam, grid):
     blob = json.dumps(
-        {"d": d, "eps": eps, "lam": lam, "grid": grid.as_dict(), "version": SCHEMA_VERSION},
+        {"d": d, "eps": eps, "lam": lam, "grid": asdict(grid), "version": SCHEMA_VERSION},
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def load_or_build_almost_harmonic(d, eps, lam=1.0, grid=None, directory=None):
-    """Fetch the tabulation from the on-disk cache, building and storing on miss."""
+def load_or_build_almost_harmonic(d, eps, lam=1.0, grid=None):
+    """Fetch the tabulation from the on-disk cache (``CHARGEFLOW_CACHE_DIR``),
+    building and storing on miss."""
     grid = grid or GridSpec()
-    directory = directory or cache_dir()
+    directory = cache_dir()
     path = os.path.join(directory, f"almost_{cache_key(d, eps, lam, grid)}.json")
     if os.path.exists(path):
         return TabulatedPotential.load(path)

@@ -52,7 +52,6 @@ class ExperimentConfig:
     k: int = 2
     potential: str = "almost:eps=0.1,lambda=1,d=3"
     separation: float = 10.0
-    scale: float | None = None  # variance of the hidden weights; None: std = separation
     trials: int = 3_000_000
     radius_mult: float = 1.2
     descent_T: int = 30_000
@@ -108,14 +107,6 @@ class LayeredNetwork:
 
     weights: tuple
 
-    @property
-    def depth(self):
-        return len(self.weights)
-
-    @property
-    def width(self):
-        return self.weights[0].shape[0]
-
     def forward(self, x):
         h = x
         for w in self.weights:
@@ -134,25 +125,21 @@ def generate_target(d, depth, width, seed):
     return LayeredNetwork(weights=weights)
 
 
-def generate_separated_target(d, k, seed, separation, scale=None):
-    """Depth-2 recovery target: k hidden rows ~ N(0, scale I) (std defaults to
-    the separation) and outer weights uniform in [-1, 1], resampled until the
-    hidden vectors are pairwise at least ``separation`` apart. Raises
-    ValueError when 100 000 draws all fall short."""
+def generate_separated_target(d, k, seed, separation):
+    """Depth-2 recovery target: k hidden rows ~ N(0, separation^2 I) and
+    outer weights uniform in [-1, 1], resampled until the hidden vectors are
+    pairwise at least ``separation`` apart. Raises ValueError when 100 000
+    draws all fall short."""
     if not 0 < separation < np.inf:
         raise ValueError(f"separation must be positive and finite, got {separation}")
-    if scale is not None and not 0 < scale < np.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    std = np.sqrt(scale) if scale is not None else float(separation)
     rng = np.random.default_rng(seed)
     for _ in range(100_000):
-        w = rng.standard_normal((k, d)) * std
+        w = rng.standard_normal((k, d)) * separation
         b = rng.uniform(-1.0, 1.0, k)
         if min_separation(w) >= separation:
             return TargetNetwork(w=w, b=b)
     raise ValueError(
-        f"100000 draws of {k} hidden vectors in d={d} at std {std:g} "
-        f"all fell short of separation {separation:g}"
+        f"100000 draws of {k} hidden vectors in d={d} all fell short of separation {separation:g}"
     )
 
 
@@ -251,7 +238,7 @@ def match_to_target(theta, a, target: TargetNetwork):
     return perm, max_dist, max_charge
 
 
-def recovery_experiment(config: ExperimentConfig, table_loader=None):
+def recovery_experiment(config: ExperimentConfig):
     """Node-wise descent against separated depth-2 targets over the seed list.
 
     Returns a report dict with one record per seed (matched permutation, max
@@ -270,11 +257,11 @@ def recovery_experiment(config: ExperimentConfig, table_loader=None):
         trace_stride=config.trace_stride,
     )
     RandomBallInit(radius=config.radius_mult, trials=config.trials)
-    pot = parse_potential(config.potential, table_loader=table_loader)
+    pot = parse_potential(config.potential)
     d = getattr(pot, "d", 3)
     records = []
     for seed in config.seeds:
-        target = generate_separated_target(d, config.k, seed, config.separation, config.scale)
+        target = generate_separated_target(d, config.k, seed, config.separation)
         obj = Objective(pot, target)
         radius = config.radius_mult * float(np.max(np.linalg.norm(target.w, axis=1)))
         policy = RandomBallInit(radius=radius, trials=config.trials)
@@ -358,7 +345,7 @@ def coerce(key, val):
         return val.lower() in ("1", "true", "yes")
     if kind is str:
         return val
-    return float(val)  # float, and scale's float | None
+    return float(val)
 
 
 def config_from(file_values: dict, overrides: dict):
@@ -372,6 +359,9 @@ def config_from(file_values: dict, overrides: dict):
 
 
 def write_jsonl(records, path):
+    """One JSON object per line. Every record is serialized before the file
+    is opened, so a non-finite number (not valid JSON) raises ValueError and
+    leaves no file behind."""
+    lines = [json.dumps(rec, allow_nan=False) + "\n" for rec in records]
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+        fh.writelines(lines)

@@ -26,7 +26,6 @@ from .potentials import (
     CoulombPotential,
     ExpLambdaHarmonicPotential,
     LogPotential,
-    SignPotential,
     min_separation,
 )
 
@@ -162,7 +161,6 @@ def sign_circle_scan(target: TargetNetwork, n_grid=2048):
     """
     if target.d != 2:
         raise ValueError("circle scan requires 2-d weights")
-    pot = SignPotential()
     w_angles = np.arctan2(target.w[:, 1], target.w[:, 0])
     phis = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
     # angle distance to each target, mapped to [0, pi]
@@ -188,7 +186,7 @@ def sign_circle_scan(target: TargetNetwork, n_grid=2048):
     )
 
 
-def poly_orthonormal_check(l, d, theta, b, tol=1e-4, fd_step=1e-3):
+def poly_orthonormal_check(l, theta, b, tol=1e-4, fd_step=1e-3):
     """Negative-curvature witness for the degree-l kernel with orthonormal
     fixed directions.
 
@@ -201,8 +199,9 @@ def poly_orthonormal_check(l, d, theta, b, tol=1e-4, fd_step=1e-3):
         raise ValueError("need l >= 3")
     theta = np.asarray(theta, dtype=float)
     b = np.asarray(b, dtype=float)
-    if theta.shape != (d,) or b.shape != (d,):
+    if theta.ndim != 1 or b.shape != theta.shape:
         raise ValueError("theta and b must have shape (d,)")
+    d = theta.shape[0]
     theta = theta / np.linalg.norm(theta)
     s = float(b @ theta**l)
     a = -s  # unregularized single-node optimum

@@ -87,8 +87,8 @@ class Objective:
         potential.check_dimension(target.d)
         if potential.manifold == SPHERE:
             check_unit_rows(target.w, f"{potential.name} target weights")
-        # infinite self-energy is omitted (constant; see module docstring)
-        self_energy = potential.diagonal() if potential.finite_diagonal else 0.0
+        # a finite diagonal is normalized to 1; an infinite one is omitted
+        self_energy = 1.0 if potential.finite_diagonal else 0.0
         self._quad = self_energy + (1.0 if regularization == "charge" else 0.0)
         self._bb_const = float(
             target.b @ potential.pairwise(target.w) @ target.b

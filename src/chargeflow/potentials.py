@@ -90,12 +90,6 @@ class Potential:
     # separation r, the property init scoring prunes with
     radially_nonincreasing = False
 
-    def diagonal(self):
-        """Normalized value at theta == w (the a_i^2 self-term of the loss)."""
-        if not self.finite_diagonal:
-            raise SingularDiagonal(f"{self.name} kernel diverges on the diagonal")
-        return 1.0
-
     def check_dimension(self, n):
         """Raise DimensionMismatch when the kernel is built for a dimension
         ``d`` other than n; kernels without a ``d`` take any dimension."""
@@ -210,21 +204,26 @@ class GaussianPotential(Potential):
             raise ValueError(f"c must be positive and finite, got {c}")
         self.c = float(c)
         self.name = f"gauss:c={c:g}"
+        # exp is 0 past this r; the cap gives 0, not NaN, at r = inf or huge r
+        self._r_cap = float(np.sqrt(2.0 * harmonic._EXP_UNDERFLOW / self.c))
 
     def phi(self, r):
-        return np.exp(-self.c * np.square(r) / 2.0)
+        # r^2 * (-c/2) has the bits of -c * r^2 / 2 (halving is exact) in
+        # one multiply fewer, which pays for the cap
+        return np.exp(np.square(np.minimum(r, self._r_cap)) * (-0.5 * self.c))
 
     def phi_and_dphi(self, r):
-        e = self.phi(r)
+        r = np.minimum(r, self._r_cap)
+        e = np.exp(np.square(r) * (-0.5 * self.c))
         return e, -self.c * r * e
 
 
 class ExpLambdaHarmonicPotential(Potential):
     """Raw Laplacian eigenfunction kernel p(r) e^{-sqrt(lam) r} / r^(d-2).
 
-    Singular on the diagonal; ``diagonal()`` still reports 1.0, the normalized
-    limit of the bounded tabulated variant, which is what the quadratic loss
-    uses for the self-terms.
+    Singular on the diagonal; ``finite_diagonal`` still holds, so the
+    quadratic loss takes its self-terms as 1.0, the normalized limit of the
+    bounded tabulated variant.
     """
 
     raw_singular = True
@@ -295,10 +294,9 @@ class AlmostHarmonicPotential(Potential):
         self.name = f"almost:eps={table.eps:g},lambda={table.lam:g},d={table.d}"
 
     @classmethod
-    def from_params(cls, eps=0.1, lam=1.0, d=3, loader=None):
-        """The kernel of the tabulation ``loader(d, eps, lam)`` (defaults to
-        the on-disk cache)."""
-        return cls((loader or harmonic.load_or_build_almost_harmonic)(d, eps, lam))
+    def from_params(cls, eps=0.1, lam=1.0, d=3):
+        """The kernel of the tabulation in the on-disk cache."""
+        return cls(harmonic.load_or_build_almost_harmonic(d, eps, lam))
 
     def phi(self, r):
         return self.table.value(r)
@@ -318,9 +316,11 @@ class LaplaceExpPotential(Potential):
         self.lam = float(lam)
         self.s = float(np.sqrt(lam))
         self.name = f"exp1d:lambda={lam:g}"
+        # exp is 0 past this r (phi = 1 at lambda = 0): no -0.0 * inf = NaN
+        self._r_cap = harmonic._EXP_UNDERFLOW / self.s if self.s > 0 else 0.0
 
     def phi(self, r):
-        return np.exp(-self.s * np.asarray(r))
+        return np.exp(-self.s * np.minimum(r, self._r_cap))
 
     def phi_and_dphi(self, r):
         e = self.phi(r)
@@ -670,21 +670,21 @@ _KINDS = {
 }
 
 
-def parse_potential(identifier, table_loader=None):
+def parse_potential(identifier):
     """Build a kernel from its string id.
 
     Ids: "sign", "gauss:c=1.0", "explh:lambda=1,d=3", "poly:l=3",
     "almost:eps=0.1,lambda=1,d=3", "exp1d:lambda=1", "coulomb:d=3", "log";
-    an omitted key takes the constructor's default. ``table_loader(d, eps,
-    lam)`` supplies the tabulation for "almost" kinds (defaults to the
-    on-disk cache). An unknown or repeated key, a non-integer ``d`` or ``l``
-    and an out-of-range value raise ValueError naming the key.
+    an omitted key takes the constructor's default, and "almost" kinds take
+    their tabulation from the on-disk cache. An unknown or repeated key, a
+    non-integer ``d`` or ``l`` and an out-of-range value raise ValueError
+    naming the key.
     """
     head, _, rest = identifier.partition(":")
     if head not in _KINDS:
         raise ValueError(f"unknown potential id {identifier!r}")
     build, keys = _KINDS[head]
-    args = {"loader": table_loader} if head == "almost" else {}
+    args = {}
     for part in rest.split(",") if rest else ():
         key, _, val = (t.strip() for t in part.partition("="))
         arg = keys.get(key)

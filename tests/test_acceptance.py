@@ -272,15 +272,14 @@ def test_07_earnshaw():
     )
 
 
-def test_08_recovery(almost_table):
+def test_08_recovery():
     """Node-wise descent recovers separated targets on >= 18/20 seeds."""
     t0 = time.time()
-    loader = lambda d, eps, lam: almost_table
     results = {}
     ok = True
     for k in (2, 3):
         cfg = ExperimentConfig(experiment="recovery", k=k, seeds=tuple(range(20)))
-        rep = recovery_experiment(cfg, table_loader=loader)
+        rep = recovery_experiment(cfg)
         results[k] = rep["recovered_count"]
         ok = ok and rep["recovered_count"] >= 18
     elapsed = time.time() - t0

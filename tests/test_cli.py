@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import pytest
@@ -30,6 +31,15 @@ class TestTable:
         assert len(rows) == 6
         assert {r["width"] for r in rows} == {"5", "10"}
         assert all(float(r["test_err"]) >= 0 for r in rows)
+
+    def test_stdout_is_the_csv(self, capsys):
+        argv = ["table", "--depths", "2", "--widths", "5", "--seeds", "1", "--iters", "10",
+                "--n-train", "100", "--n-test", "100"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert len(rows) == 2 and all(len(row) == 6 for row in rows)
+        assert "depth 2: mean test error" in captured.err
 
     def test_bare_seed_count(self, tmp_path):
         # "--seeds 3" means three seeds: 2 widths x 3 seeds = 6 rows

@@ -162,7 +162,7 @@ class TestConstruction:
 
     def test_dimension_guards(self):
         with pytest.raises(UnsupportedDimension):
-            build_almost_harmonic(5, 0.1)  # 5 != 3 mod 4
+            build_almost_harmonic(5, 0.1)
         with pytest.raises(UnsupportedDimension):
             build_almost_harmonic(7, 0.1)  # weight needs the d=3 closed form
         with pytest.raises(ValueError):
@@ -366,16 +366,18 @@ class TestSerializationAndCache:
         assert cache_key(3, 0.1, 2.0, g) != base
         assert cache_key(3, 0.1, 1.0, GridSpec(n=2048)) != base
 
-    def test_load_or_build_uses_cache(self, tmp_path):
+    def test_load_or_build_uses_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHARGEFLOW_CACHE_DIR", str(tmp_path))
         grid = GridSpec(n=512)
-        first = load_or_build_almost_harmonic(3, 0.2, 1.0, grid, directory=str(tmp_path))
+        first = load_or_build_almost_harmonic(3, 0.2, 1.0, grid)
         assert len(list(tmp_path.iterdir())) == 1
-        second = load_or_build_almost_harmonic(3, 0.2, 1.0, grid, directory=str(tmp_path))
+        second = load_or_build_almost_harmonic(3, 0.2, 1.0, grid)
         np.testing.assert_array_equal(first.values, second.values)
 
     def test_overlapping_cold_builds(self, tmp_path, monkeypatch):
         # a second build of the same kernel starts and finishes while the
         # first is writing; each must move its own file into place
+        monkeypatch.setenv("CHARGEFLOW_CACHE_DIR", str(tmp_path))
         grid = GridSpec(n=512)
         save = TabulatedPotential.save
         nested = []
@@ -384,15 +386,16 @@ class TestSerializationAndCache:
             save(tab, path)
             # the second build writes through the plain save
             monkeypatch.setattr(TabulatedPotential, "save", save)
-            nested.append(load_or_build_almost_harmonic(3, 0.2, 1.0, grid, directory=str(tmp_path)))
+            nested.append(load_or_build_almost_harmonic(3, 0.2, 1.0, grid))
 
         monkeypatch.setattr(TabulatedPotential, "save", save_then_build)
-        first = load_or_build_almost_harmonic(3, 0.2, 1.0, grid, directory=str(tmp_path))
+        first = load_or_build_almost_harmonic(3, 0.2, 1.0, grid)
         assert [p.name for p in tmp_path.iterdir()] == [f"almost_{cache_key(3, 0.2, 1.0, grid)}.json"]
         np.testing.assert_array_equal(first.values, nested[0].values)
         np.testing.assert_array_equal(TabulatedPotential.load(next(tmp_path.iterdir())).values, first.values)
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHARGEFLOW_CACHE_DIR", str(tmp_path))
         def fail(tab, path):
             with open(path, "w") as fh:
                 fh.write("{")
@@ -400,5 +403,5 @@ class TestSerializationAndCache:
 
         monkeypatch.setattr(TabulatedPotential, "save", fail)
         with pytest.raises(OSError, match="disk full"):
-            load_or_build_almost_harmonic(3, 0.2, 1.0, GridSpec(n=512), directory=str(tmp_path))
+            load_or_build_almost_harmonic(3, 0.2, 1.0, GridSpec(n=512))
         assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chargeflow import harmonic
 from chargeflow.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -13,6 +14,7 @@ from chargeflow.harness import (
     rows_to_csv,
     run_table,
     sgd_train,
+    write_jsonl,
 )
 from chargeflow.loss import TargetNetwork
 
@@ -28,7 +30,7 @@ class TestGenerateTarget:
 
     def test_shapes(self):
         net = generate_target(10, 4, 8, seed=0)
-        assert net.depth == 4
+        assert len(net.weights) == 4
         assert [w.shape for w in net.weights] == [(8, 10), (8, 8), (8, 8), (1, 8)]
 
     def test_depth_two_counts(self):
@@ -44,22 +46,20 @@ class TestGenerateTarget:
             assert dist.min() >= 10.0
 
     def test_unreachable_separation_raises(self):
-        # std 1 in d=3 essentially never puts three points 10 apart
-        with pytest.raises(ValueError, match=r"std 1 .*separation 10"):
-            generate_separated_target(3, 3, 0, separation=10.0, scale=1.0)
+        # twelve draws of N(0, 1) on a line essentially never lie pairwise 1 apart
+        with pytest.raises(ValueError, match=r"12 hidden vectors in d=1 .*separation 1"):
+            generate_separated_target(1, 12, 0, separation=1.0)
 
     @pytest.mark.parametrize(
-        "separation,scale,message",
+        "separation,message",
         [
-            (np.nan, None, "separation must be positive and finite, got nan"),
-            (np.inf, None, "separation must be positive and finite, got inf"),
-            (10.0, 0.0, "scale must be positive and finite, got 0.0"),
-            (10.0, np.inf, "scale must be positive and finite, got inf"),
+            (np.nan, "separation must be positive and finite, got nan"),
+            (np.inf, "separation must be positive and finite, got inf"),
         ],
     )
-    def test_bad_separation_or_scale_rejected(self, separation, scale, message):
+    def test_bad_separation_rejected(self, separation, message):
         with pytest.raises(ValueError, match=message):
-            generate_separated_target(3, 2, 0, separation=separation, scale=scale)
+            generate_separated_target(3, 2, 0, separation=separation)
 
 
 class TestSgdTrain:
@@ -144,8 +144,16 @@ class TestMatching:
         assert max_charge == pytest.approx(np.max(np.abs(a + tgt.b[truth])), abs=1e-15)
 
 
+class TestWriteJsonl:
+    def test_non_finite_number_writes_no_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError):
+            write_jsonl([{"x": 1.0}, {"x": float("nan")}], path)
+        assert not path.exists()
+
+
 class TestRecovery:
-    def test_single_node_quick(self, almost_table):
+    def test_single_node_quick(self):
         cfg = ExperimentConfig(
             experiment="recovery",
             k=1,
@@ -153,7 +161,7 @@ class TestRecovery:
             trials=200_000,
             descent_T=15_000,
         )
-        report = recovery_experiment(cfg, table_loader=lambda d, e, l: almost_table)
+        report = recovery_experiment(cfg)
         assert report["recovered_count"] == 2
         for rec in report["records"]:
             assert rec["distinct"]
@@ -173,13 +181,14 @@ class TestRecoveryOptionsFailFast:
             ("radius_mult", float("inf"), "radius > 0 and finite"),
         ],
     )
-    def test_rejected_before_the_tabulation(self, field, value, message):
-        def loader(d, eps, lam):
+    def test_rejected_before_the_tabulation(self, field, value, message, monkeypatch):
+        def load(d, eps, lam):
             pytest.fail("the kernel tabulation was loaded before the options were checked")
 
+        monkeypatch.setattr(harmonic, "load_or_build_almost_harmonic", load)
         cfg = ExperimentConfig(experiment="recovery", k=1, seeds=(0,), **{field: value})
         with pytest.raises(ValueError, match=message):
-            recovery_experiment(cfg, table_loader=loader)
+            recovery_experiment(cfg)
 
 
 class TestRecoveryGaussianKernel:

@@ -204,7 +204,7 @@ class TestPolyOrthonormal:
     def test_two_coordinate_witness(self):
         theta = np.zeros(4)
         theta[:2] = 1.0 / np.sqrt(2.0)
-        v = poly_orthonormal_check(3, 4, theta, np.ones(4))
+        v = poly_orthonormal_check(3, theta, np.ones(4))
         assert v.passed
         a = v.measured["a"]
         assert v.measured["predicted"] == pytest.approx(-2.0 * 1.0 * 3.0 * a * a)
@@ -213,14 +213,14 @@ class TestPolyOrthonormal:
     def test_basis_vector_needs_no_witness(self):
         theta = np.zeros(4)
         theta[0] = 1.0
-        v = poly_orthonormal_check(3, 4, theta, np.ones(4))
+        v = poly_orthonormal_check(3, theta, np.ones(4))
         assert v.passed
         assert "no witness" in v.note
 
     def test_higher_degree(self):
         theta = np.zeros(5)
         theta[:3] = 1.0 / np.sqrt(3.0)
-        v = poly_orthonormal_check(5, 5, theta, np.ones(5))
+        v = poly_orthonormal_check(5, theta, np.ones(5))
         assert v.passed
         a = v.measured["a"]
         assert v.measured["predicted"] == pytest.approx(-2.0 * 3.0 * 5.0 * a * a)
@@ -230,7 +230,7 @@ class TestPolyOrthonormal:
         theta = np.zeros(4)
         theta[:2] = 1.0 / np.sqrt(2.0)
         b = np.array([1.0, -1.0, 0.0, 0.0])
-        v = poly_orthonormal_check(3, 4, theta, b)
+        v = poly_orthonormal_check(3, theta, b)
         assert v.passed
         assert "probability zero" in v.note
 
@@ -238,8 +238,8 @@ class TestPolyOrthonormal:
         theta = np.zeros(4)
         theta[:2] = [0.9, np.sqrt(1 - 0.81)]  # unequal support, equal b
         with pytest.raises(NotACriticalPoint):
-            poly_orthonormal_check(3, 4, theta, np.ones(4))
+            poly_orthonormal_check(3, theta, np.ones(4))
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
-            poly_orthonormal_check(2, 4, np.ones(4) / 2.0, np.ones(4))
+            poly_orthonormal_check(2, np.ones(4) / 2.0, np.ones(4))

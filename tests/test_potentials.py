@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chargeflow import harmonic
 from chargeflow.errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -71,7 +72,7 @@ class TestEvalPotential:
         th = np.array([1.0, 2.0, 3.0])
         with pytest.raises(SingularDiagonal):
             eval_potential(pot, th, th)
-        assert pot.diagonal() == 1.0  # normalized limit used by the loss
+        assert pot.finite_diagonal  # the loss takes the normalized limit 1.0
 
     def test_off_manifold(self):
         with pytest.raises(OffManifold):
@@ -241,7 +242,7 @@ class TestGramPositivity:
                     "almost": AlmostHarmonicPotential(almost_table),
                 }[kind]
             gram = pot.pairwise(pts, pts)
-            np.fill_diagonal(gram, pot.diagonal())
+            np.fill_diagonal(gram, 1.0)
             assert np.linalg.eigvalsh(gram)[0] >= -1e-8
 
 
@@ -253,10 +254,10 @@ class TestPairCore:
            "explh:lambda=1,d=3", "coulomb:d=3", "log", "sign", "poly:l=3", "hermite-dual"]
 
     @staticmethod
-    def kernel(kind, table):
+    def kernel(kind):
         if kind == "hermite-dual":
             return HermiteDualPotential([0.2, 1.0, 0.4])
-        return parse_potential(kind, table_loader=lambda d, eps, lam: table)
+        return parse_potential(kind)
 
     @staticmethod
     def fd_grad(pot, x, y, h=1e-6):
@@ -274,10 +275,10 @@ class TestPairCore:
         return basis, fd
 
     @pytest.mark.parametrize("kind", IDS + ["explh:lambda=1,d=7"])
-    def test_value_and_slope_contract(self, kind, almost_table):
+    def test_value_and_slope_contract(self, kind):
         # phi_and_dphi's value is phi's, bit for bit; its slope matches
         # central differences of phi in the pair argument
-        pot = self.kernel(kind, almost_table)
+        pot = self.kernel(kind)
         s = np.linspace(-0.9, 0.9, 37) if pot.manifold == "sphere" else np.linspace(0.3, 25.0, 60)
         val, slope = pot.phi_and_dphi(s)
         np.testing.assert_array_equal(val, pot.phi(s))
@@ -285,9 +286,22 @@ class TestPairCore:
         fd = (pot.phi(s + h) - pot.phi(s - h)) / (2 * h)
         np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "kind",
+        [i for i in README_KERNEL_IDS if i.partition(":")[0] not in ("sign", "poly")]
+        + ["exp1d:lambda=0", "explh:lambda=0,d=3"],
+    )
+    def test_far_tail_is_not_nan(self, kind):
+        # a RuntimeWarning (overflow, inf * 0) fails the test as an error
+        pot = parse_potential(kind)
+        r = np.array([1e200, np.inf])
+        val, slope = pot.phi_and_dphi(r)
+        assert not np.isnan(pot.phi(r)).any()
+        assert not np.isnan(val).any() and not np.isnan(slope).any()
+
     @pytest.mark.parametrize("kind", IDS)
-    def test_blocks_match_scalar_oracle(self, kind, almost_table):
-        pot = self.kernel(kind, almost_table)
+    def test_blocks_match_scalar_oracle(self, kind):
+        pot = self.kernel(kind)
         rng = np.random.default_rng(31)
         d = getattr(pot, "d", 3)
         if pot.manifold == "sphere":
@@ -397,12 +411,19 @@ class TestRegistry:
     def test_parse(self, ident, cls):
         assert isinstance(parse_potential(ident), cls)
 
-    def test_parse_almost_uses_loader(self, almost_table):
-        pot = parse_potential(
-            "almost:eps=0.1,lambda=1,d=3", table_loader=lambda d, e, l: almost_table
-        )
+    def test_parse_almost_uses_loader(self, almost_table, monkeypatch):
+        # the cache loader is the one way an "almost" id gets its tabulation
+        calls = []
+
+        def load(d, eps, lam):
+            calls.append((d, eps, lam))
+            return almost_table
+
+        monkeypatch.setattr(harmonic, "load_or_build_almost_harmonic", load)
+        pot = parse_potential("almost:eps=0.1,lambda=1,d=3")
         assert isinstance(pot, AlmostHarmonicPotential)
-        assert pot.eps == 0.1
+        assert pot.table is almost_table
+        assert calls == [(3, 0.1, 1.0)]
 
     def test_unknown(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .descent import DescentConfig, RandomBallInit, node_wise_descent
 from .errors import DivergedLoss
@@ -27,6 +26,8 @@ from .potentials import min_separation, pair_distances, parse_potential
 SCHEMA_VERSION = 1
 
 CSV_COLUMNS = ("depth", "width", "seed", "train_err", "test_err", "wall_ms")
+
+SGD_BLOCK = 1024  # SGD steps per minibatch draw and per finiteness check
 
 
 @dataclass(frozen=True)
@@ -160,24 +161,34 @@ def sgd_train(config: ExperimentConfig, target: LayeredNetwork, depth, width, se
     yt = target.forward(xt)
     dims = [cfg.d] + [width] * (depth - 1) + [1]
     student = [rng.standard_normal((dims[i + 1], dims[i])) for i in range(depth)]
+    # numpy dispatch bounds the loop, so each block of SGD_BLOCK steps draws
+    # its minibatch rows in one call (the stream of one draw per step) and
+    # checks finiteness once; the weights change in place, so the transposed
+    # views stay current
+    wts = [w.T for w in student]
+    ycol = ys[:, None]
+    alpha, scale = cfg.alpha, 2.0 / cfg.batch
     t0 = time.perf_counter()
-    for _ in range(cfg.iters):
-        idx = rng.integers(0, cfg.n_train, cfg.batch)
-        x = xs[idx]
-        y = ys[idx]
-        hs = [x]
-        for w in student:
-            hs.append(np.tanh(hs[-1] @ w.T))
-        err = hs[-1][:, 0] - y
-        delta = (2.0 / cfg.batch) * err[:, None] * (1.0 - hs[-1] ** 2)
-        grads = []
-        for li in range(len(student) - 1, -1, -1):
-            grads.append(delta.T @ hs[li])
-            if li > 0:
-                delta = (delta @ student[li]) * (1.0 - hs[li] ** 2)
-        for w, g in zip(student, reversed(grads)):
-            w -= cfg.alpha * g
-        if not np.all(np.isfinite(student[-1])):
+    done = 0
+    while done < cfg.iters:
+        nb = min(SGD_BLOCK, cfg.iters - done)
+        for idx in rng.integers(0, cfg.n_train, (nb, cfg.batch)):
+            h = xs.take(idx, axis=0)
+            hs = [h]
+            for wt in wts:
+                h = np.tanh(h @ wt)
+                hs.append(h)
+            delta = (scale * (h - ycol.take(idx, axis=0))) * (1.0 - h * h)
+            for li in range(depth - 1, -1, -1):
+                w = student[li]
+                g = delta.T @ hs[li]
+                if li > 0:
+                    h = hs[li]
+                    delta = (delta @ w) * (1.0 - h * h)
+                g *= alpha
+                w -= g
+        done += nb
+        if not all(np.isfinite(w).all() for w in student):
             raise DivergedLoss(f"non-finite weights at depth={depth} width={width} seed={seed}")
     wall_ms = (time.perf_counter() - t0) * 1e3
     trained = LayeredNetwork(weights=tuple(student))
@@ -231,6 +242,8 @@ def rows_to_csv(rows):
 
 def match_to_target(theta, a, target: TargetNetwork):
     """Min-total-distance assignment of learned nodes to fixed ones."""
+    from scipy.optimize import linear_sum_assignment
+
     dist = pair_distances(theta, target.w)
     rows, perm = linear_sum_assignment(dist)
     max_dist = float(np.max(dist[rows, perm]))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, k0e, k1e
 
 from . import harmonic
 from .errors import (
@@ -39,6 +38,9 @@ _COLLISION_GUARD = 1e-10
 
 def hermite_eval(coeffs, x):
     """Evaluate sum_i coeffs[i] * h_i(x) with h_i = He_i / sqrt(i!)."""
+    # math.lgamma differs from gammaln in the last bit for some n
+    from scipy.special import gammaln
+
     c = np.asarray(coeffs, dtype=float)
     scaled = c * np.exp(-0.5 * gammaln(np.arange(len(c)) + 1.0))
     return np.polynomial.hermite_e.hermeval(x, scaled)
@@ -434,6 +436,8 @@ class BesselK0Activation(Activation):
         self.name = "bessel0"
 
     def log_eval(self, x, weight):
+        from scipy.special import k0e
+
         r = np.abs(x[:, 0] - weight[0])
         sq = x[:, 0] * x[:, 0]
         # log K_0 via the exponentially scaled form to avoid underflow
@@ -454,6 +458,8 @@ class BesselK1RadialActivation(Activation):
         self.name = "bessel1"
 
     def log_eval(self, x, weight):
+        from scipy.special import k1e
+
         diff = x - weight
         r = np.sqrt(np.sum(diff * diff, axis=-1))
         sq = np.sum(x * x, axis=-1)

@@ -1,14 +1,31 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chargeflow
 from chargeflow import cli
 from chargeflow.cli import main
 from chargeflow.harness import KEY_TYPES, ExperimentConfig
 
 from conftest import README_KERNEL_IDS
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(chargeflow.__file__))
+    code = (
+        "import sys, chargeflow, chargeflow.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestTable:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from chargeflow import harmonic
+from chargeflow.errors import DivergedLoss
 from chargeflow.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
+    LayeredNetwork,
     config_from,
     generate_separated_target,
     generate_target,
@@ -84,6 +86,57 @@ class TestSgdTrain:
         before = sgd_train(cfg0, target, 2, 5, 0)
         after = sgd_train(cfg1, target, 2, 5, 0)
         assert after.test_err < before.test_err / 2
+
+
+def per_step_sgd(cfg, target, depth, width, seed):
+    """Reference loop: one index draw, fancy indexing and one update per
+    step, on the data and student sgd_train draws from the same seed."""
+    rng = np.random.default_rng([seed, 1])
+    xs = rng.standard_normal((cfg.n_train, cfg.d))
+    ys = target.forward(xs)
+    xt = rng.standard_normal((cfg.n_test, cfg.d))
+    yt = target.forward(xt)
+    dims = [cfg.d] + [width] * (depth - 1) + [1]
+    student = [rng.standard_normal((dims[i + 1], dims[i])) for i in range(depth)]
+    for _ in range(cfg.iters):
+        idx = rng.integers(0, cfg.n_train, cfg.batch)
+        hs = [xs[idx]]
+        for w in student:
+            hs.append(np.tanh(hs[-1] @ w.T))
+        err = hs[-1][:, 0] - ys[idx]
+        delta = (2.0 / cfg.batch) * err[:, None] * (1.0 - hs[-1] ** 2)
+        grads = []
+        for li in range(depth - 1, -1, -1):
+            grads.append(delta.T @ hs[li])
+            if li > 0:
+                delta = (delta @ student[li]) * (1.0 - hs[li] ** 2)
+        for w, g in zip(student, reversed(grads)):
+            w -= cfg.alpha * g
+    trained = LayeredNetwork(weights=tuple(student))
+    return (
+        float(np.mean((trained.forward(xs) - ys) ** 2)),
+        float(np.mean((trained.forward(xt) - yt) ** 2)),
+    )
+
+
+class TestSgdBlocks:
+    @pytest.mark.parametrize("batch", [32, 7])
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("iters", [0, 1, 1023, 1024, 1025, 2100])
+    def test_bit_equal_to_per_step_loop(self, iters, depth, batch):
+        cfg = ExperimentConfig(iters=iters, batch=batch, n_train=300, n_test=200)
+        target = generate_target(10, depth, 5, 4)
+        row = sgd_train(cfg, target, depth, 5, 4)
+        assert (row.train_err, row.test_err) == per_step_sgd(cfg, target, depth, 5, 4)
+
+    @pytest.mark.parametrize("iters", [50, 1500])
+    def test_non_finite_teacher_raises_diverged_loss(self, iters):
+        w1, w2 = generate_target(10, 2, 5, 0).weights
+        w1 = w1.copy()
+        w1[0, 0] = np.nan
+        cfg = ExperimentConfig(iters=iters, n_train=300, n_test=200)
+        with pytest.raises(DivergedLoss, match="non-finite weights"):
+            sgd_train(cfg, LayeredNetwork(weights=(w1, w2)), 2, 5, 0)
 
 
 class TestTableRunner:

@@ -23,7 +23,6 @@ from .dynamics import (
     velocity_field,
 )
 from .harmonic import (
-    GridSpec,
     LambdaHarmonicRadial,
     TabulatedPotential,
     build_almost_harmonic,

@@ -59,7 +59,7 @@ class CollisionSingularity(ChargeflowError):
 
 
 class EigenSolveFailure(ChargeflowError):
-    """Eigenpair iteration did not converge."""
+    """The matrix handed to the eigensolver has non-finite entries."""
 
 
 class InitializationFailed(ChargeflowError):

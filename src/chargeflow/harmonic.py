@@ -5,7 +5,9 @@ origin with the closed form ``phi(r) = p(r) * exp(-sqrt(lam)*r) / r**(d-2)``.
 Because that form blows up at r = 0 it cannot serve as a similarity kernel
 directly; :func:`build_almost_harmonic` replaces it below a matching radius
 ``eps`` by a positive combination of ball-overlap kernels, which keeps the
-eigenrelation for ``r >= eps`` while staying smooth and bounded at the origin.
+eigenrelation for ``r >= eps`` while staying bounded at the origin. The
+combination is a cone there (its slope at r = 0 is negative), and the
+tabulation holds it flat at value 1 below its first positive knot.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +29,8 @@ from .errors import (
     UnsupportedDimension,
 )
 
-SCHEMA_VERSION = 1
+# the cache file layout and the knot constants below; bump when either changes
+SCHEMA_VERSION = 2
 
 # exp(-x) rounds to 0.0 for every x >= this (the smallest subnormal is e^-744.4)
 _EXP_UNDERFLOW = 746.0
@@ -196,24 +199,24 @@ def radial_laplacian(f, r, d, h):
 
 
 # ---------------------------------------------------------------------------
-# the bounded construction: exact eigenfunction outside eps, smooth inside
+# the bounded construction: exact eigenfunction outside eps, bounded inside
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    n: int = 4096
-    inner_factor: float = 0.01  # first positive knot at eps * inner_factor
-    r_max: float = 20.0
+_KNOTS = 4096
+_INNER_FACTOR = 0.01  # first positive knot at eps * _INNER_FACTOR
+_R_MAX = 20.0
 
-    def knots(self, eps):
-        pos = np.geomspace(eps * self.inner_factor, self.r_max, self.n)
-        # eps must be a knot: the kernel is a Laplacian eigenfunction only on
-        # one side of it, and an interpolation interval straddling the seam
-        # would blend the two regimes.
-        spacing = eps * (np.log(self.r_max / (eps * self.inner_factor)) / (self.n - 1))
-        pos = pos[np.abs(pos - eps) > 0.25 * spacing]
-        return np.concatenate([[0.0], np.sort(np.append(pos, eps))])
+
+def _knots(eps):
+    """r = 0, then ``_KNOTS`` geometric knots up to ``_R_MAX`` with eps among them."""
+    pos = np.geomspace(eps * _INNER_FACTOR, _R_MAX, _KNOTS)
+    # eps must be a knot: the kernel is a Laplacian eigenfunction only on
+    # one side of it, and an interpolation interval straddling the seam
+    # would blend the two regimes.
+    spacing = eps * (np.log(_R_MAX / (eps * _INNER_FACTOR)) / (_KNOTS - 1))
+    pos = pos[np.abs(pos - eps) > 0.25 * spacing]
+    return np.concatenate([[0.0], np.sort(np.append(pos, eps))])
 
 
 def _base_value(x, eps, r):
@@ -246,7 +249,7 @@ def _base_tails(eps, r, c, x_hi, m):
 
 @dataclass
 class TabulatedPotential:
-    """Radial kernel tabulation: eigenfunction tail, smooth bounded core.
+    """Radial kernel tabulation: eigenfunction tail, bounded core.
 
     Values are normalized so value(0) = 1; ``z`` is the un-normalized value at
     the origin. Evaluation interpolates log(value) against log(r) with a cubic
@@ -256,10 +259,10 @@ class TabulatedPotential:
     GridTooCoarse.
 
     ``nonincreasing`` certifies that the kernel never rises with r: the knot
-    values do not rise, every log-log cubic passes the Fritsch-Carlson test
+    values do not rise and every log-log cubic passes the Fritsch-Carlson test
     (alpha, beta >= 0 and alpha^2 + beta^2 <= 9, a sufficient condition for
-    a monotone cubic Hermite) and the closed-form tail's polynomial has
-    non-negative coefficients.
+    a monotone cubic Hermite). The closed-form tail cannot rise: its
+    coefficients are non-negative for every odd d >= 3 and lam >= 0.
     """
 
     d: int
@@ -269,8 +272,6 @@ class TabulatedPotential:
     values: np.ndarray
     derivs: np.ndarray
     z: float
-    p_coeffs: np.ndarray
-    grid_spec: GridSpec
 
     def __post_init__(self):
         r = self.r_grid[1:]
@@ -287,7 +288,7 @@ class TabulatedPotential:
         # derived lookup state, kept out of the dataclass fields
         self._x = x
         self._c = coeffs
-        self._tail = LambdaHarmonicRadial(d=self.d, lam=self.lam, coeffs=self.p_coeffs)
+        self._tail = lambda_harmonic_poly(self.d, self.lam)
         # Fritsch-Carlson on every log-log cubic, times the secant slope s
         # so a flat interval needs no case: alpha = m0 / s and beta = m1 / s
         # non-negative with alpha^2 + beta^2 <= 9
@@ -296,7 +297,6 @@ class TabulatedPotential:
         self.nonincreasing = bool(
             np.all(np.diff(self.values) <= 0.0)
             and np.all((m0 * s >= 0.0) & (m1 * s >= 0.0) & (m0 * m0 + m1 * m1 <= 9.0 * s * s))
-            and np.all(self.p_coeffs >= 0.0)
         )
 
     @staticmethod
@@ -345,22 +345,24 @@ class TabulatedPotential:
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self):
-        return {
+    def save(self, path):
+        data = {
             "schema_version": SCHEMA_VERSION,
             "d": self.d,
             "eps": self.eps,
             "lam": self.lam,
             "z": self.z,
-            "p_coeffs": self.p_coeffs.tolist(),
-            "grid_spec": asdict(self.grid_spec),
             "r_grid": self.r_grid.tolist(),
             "values": self.values.tolist(),
             "derivs": self.derivs.tolist(),
         }
+        with open(path, "w") as fh:
+            json.dump(data, fh)
 
     @classmethod
-    def from_dict(cls, data):
+    def load(cls, path):
+        with open(path) as fh:
+            data = json.load(fh)
         return cls(
             d=int(data["d"]),
             eps=float(data["eps"]),
@@ -369,21 +371,10 @@ class TabulatedPotential:
             values=np.asarray(data["values"], dtype=float),
             derivs=np.asarray(data["derivs"], dtype=float),
             z=float(data["z"]),
-            p_coeffs=np.asarray(data["p_coeffs"], dtype=float),
-            grid_spec=GridSpec(**data["grid_spec"]),
         )
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
 
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def build_almost_harmonic(d, eps, lam=1.0, grid=None):
+def build_almost_harmonic(d, eps, lam=1.0):
     """Tabulate the bounded kernel that is an exact Laplacian eigenfunction for r >= eps.
 
     Inside [0, eps) the kernel is the weight-(d+1)-derivative mixture of
@@ -396,7 +387,6 @@ def build_almost_harmonic(d, eps, lam=1.0, grid=None):
         )
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    grid = grid or GridSpec()
     radial = lambda_harmonic_poly(d, lam)
     s = radial.s
     q_weight = radial.nth_deriv_poly(d + 1)  # phi^(d+1) = q e^{-sr}/r^{2d-1}, positive
@@ -414,7 +404,7 @@ def build_almost_harmonic(d, eps, lam=1.0, grid=None):
     x_hi = 2.0 * eps
     while tail_envelope(x_hi) > 1e-16 * g_eps:
         x_hi *= 2.0
-    knots = grid.knots(eps)
+    knots = _knots(eps)
     below = knots[knots < eps]  # includes r = 0
 
     # The weight spikes like x^-(2d-1) at eps, so integrate in u = log x where
@@ -467,8 +457,6 @@ def build_almost_harmonic(d, eps, lam=1.0, grid=None):
         values=values,
         derivs=derivs,
         z=z,
-        p_coeffs=radial.coeffs,
-        grid_spec=grid,
     )
 
 
@@ -483,23 +471,19 @@ def cache_dir():
     )
 
 
-def cache_key(d, eps, lam, grid):
-    blob = json.dumps(
-        {"d": d, "eps": eps, "lam": lam, "grid": asdict(grid), "version": SCHEMA_VERSION},
-        sort_keys=True,
-    )
+def cache_key(d, eps, lam):
+    blob = json.dumps({"d": d, "eps": eps, "lam": lam, "version": SCHEMA_VERSION}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def load_or_build_almost_harmonic(d, eps, lam=1.0, grid=None):
+def load_or_build_almost_harmonic(d, eps, lam=1.0):
     """Fetch the tabulation from the on-disk cache (``CHARGEFLOW_CACHE_DIR``),
     building and storing on miss."""
-    grid = grid or GridSpec()
     directory = cache_dir()
-    path = os.path.join(directory, f"almost_{cache_key(d, eps, lam, grid)}.json")
+    path = os.path.join(directory, f"almost_{cache_key(d, eps, lam)}.json")
     if os.path.exists(path):
         return TabulatedPotential.load(path)
-    tab = build_almost_harmonic(d, eps, lam, grid)
+    tab = build_almost_harmonic(d, eps, lam)
     os.makedirs(directory, exist_ok=True)
     # a temp file per writer: builds that overlap each move their own file
     # into place, and the last one wins

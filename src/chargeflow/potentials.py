@@ -79,8 +79,8 @@ class Potential:
 
     Every kernel is one function of one pair argument s: the separation r on
     Euclidean space, the inner product rho on the unit sphere. Subclasses
-    implement ``phi(s)`` and ``phi_and_dphi(s)``, the value together with its
-    slope in s.
+    state the kernel once, in ``phi_and_dphi(s)``: the value together with
+    its slope in s.
     """
 
     name = "potential"
@@ -98,6 +98,10 @@ class Potential:
         d = getattr(self, "d", None)
         if d is not None and n != d:
             raise DimensionMismatch(f"{self.name} expects dimension {d}, got {n}")
+
+    def phi(self, s):
+        """Kernel value at the pair argument s."""
+        return self.phi_and_dphi(s)[0]
 
     # -- the pair core: every kernel block and kernel gradient -------------
 
@@ -186,6 +190,7 @@ class SignPotential(Potential):
     name = "sign"
     manifold = SPHERE
 
+    # defined at the kinks rho = +-1, where phi_and_dphi raises
     def phi(self, rho):
         return 1.0 - 2.0 * np.arccos(np.clip(rho, -1.0, 1.0)) / np.pi
 
@@ -209,13 +214,10 @@ class GaussianPotential(Potential):
         # exp is 0 past this r; the cap gives 0, not NaN, at r = inf or huge r
         self._r_cap = float(np.sqrt(2.0 * harmonic._EXP_UNDERFLOW / self.c))
 
-    def phi(self, r):
-        # r^2 * (-c/2) has the bits of -c * r^2 / 2 (halving is exact) in
-        # one multiply fewer, which pays for the cap
-        return np.exp(np.square(np.minimum(r, self._r_cap)) * (-0.5 * self.c))
-
     def phi_and_dphi(self, r):
         r = np.minimum(r, self._r_cap)
+        # r^2 * (-c/2) has the bits of -c * r^2 / 2 (halving is exact) in
+        # one multiply fewer, which pays for the cap
         e = np.exp(np.square(r) * (-0.5 * self.c))
         return e, -self.c * r * e
 
@@ -232,15 +234,13 @@ class ExpLambdaHarmonicPotential(Potential):
 
     def __init__(self, lam=1.0, d=3):
         self.radial = harmonic.lambda_harmonic_poly(d, lam)
-        self.lam = float(lam)
         self.d = int(d)
         self.name = f"explh:lambda={lam:g},d={d}"
 
-    def phi(self, r):
-        return self.radial.phi(r)
-
     def phi_and_dphi(self, r):
-        return self.radial.phi_and_deriv(r)
+        # +inf and -inf, silently, at r = 0 and where a power of r underflows
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.radial.phi_and_deriv(r)
 
 
 class PolynomialPotential(Potential):
@@ -254,11 +254,9 @@ class PolynomialPotential(Potential):
         self.l = int(l)
         self.name = f"poly:l={self.l}"
 
-    def phi(self, rho):
-        return np.asarray(rho) ** self.l
-
     def phi_and_dphi(self, rho):
-        return self.phi(rho), self.l * np.asarray(rho) ** (self.l - 1)
+        rho = np.asarray(rho)
+        return rho**self.l, self.l * rho ** (self.l - 1)
 
 
 class HermiteDualPotential(Potential):
@@ -276,12 +274,10 @@ class HermiteDualPotential(Potential):
         self.z = z
         self.name = "hermite-dual"
 
-    def phi(self, rho):
-        return np.polynomial.polynomial.polyval(rho, self.taylor) / self.z
-
     def phi_and_dphi(self, rho):
-        d = np.polynomial.polynomial.polyder(self.taylor)
-        return self.phi(rho), np.polynomial.polynomial.polyval(rho, d) / self.z
+        poly = np.polynomial.polynomial
+        d = poly.polyder(self.taylor)
+        return poly.polyval(rho, self.taylor) / self.z, poly.polyval(rho, d) / self.z
 
 
 class AlmostHarmonicPotential(Potential):
@@ -290,8 +286,6 @@ class AlmostHarmonicPotential(Potential):
     def __init__(self, table: harmonic.TabulatedPotential):
         self.table = table
         self.radially_nonincreasing = table.nonincreasing
-        self.eps = table.eps
-        self.lam = table.lam
         self.d = table.d
         self.name = f"almost:eps={table.eps:g},lambda={table.lam:g},d={table.d}"
 
@@ -300,6 +294,7 @@ class AlmostHarmonicPotential(Potential):
         """The kernel of the tabulation in the on-disk cache."""
         return cls(harmonic.load_or_build_almost_harmonic(d, eps, lam))
 
+    # init scoring's bulk path; perfbench traces ``value`` as its own layer
     def phi(self, r):
         return self.table.value(r)
 
@@ -315,17 +310,13 @@ class LaplaceExpPotential(Potential):
     def __init__(self, lam=1.0):
         if not 0 <= lam < np.inf:
             raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-        self.lam = float(lam)
         self.s = float(np.sqrt(lam))
         self.name = f"exp1d:lambda={lam:g}"
         # exp is 0 past this r (phi = 1 at lambda = 0): no -0.0 * inf = NaN
         self._r_cap = harmonic._EXP_UNDERFLOW / self.s if self.s > 0 else 0.0
 
-    def phi(self, r):
-        return np.exp(-self.s * np.minimum(r, self._r_cap))
-
     def phi_and_dphi(self, r):
-        e = self.phi(r)
+        e = np.exp(-self.s * np.minimum(r, self._r_cap))
         return e, -self.s * e
 
 
@@ -343,11 +334,11 @@ class CoulombPotential(Potential):
         self.d = int(d)
         self.name = f"coulomb:d={d}"
 
-    def phi(self, r):
-        return np.asarray(r, dtype=float) ** (2 - self.d)
-
     def phi_and_dphi(self, r):
-        return self.phi(r), (2 - self.d) * np.asarray(r, dtype=float) ** (1 - self.d)
+        r = np.asarray(r, dtype=float)
+        # +inf and -inf, silently, at r = 0 and where a power of r underflows
+        with np.errstate(divide="ignore", over="ignore"):
+            return r ** (2 - self.d), (2 - self.d) * r ** (1 - self.d)
 
 
 class LogPotential(Potential):
@@ -360,11 +351,11 @@ class LogPotential(Potential):
         self.d = 2
         self.name = "log"
 
-    def phi(self, r):
-        return -np.log(np.asarray(r, dtype=float))
-
     def phi_and_dphi(self, r):
-        return self.phi(r), -1.0 / np.asarray(r, dtype=float)
+        r = np.asarray(r, dtype=float)
+        # +inf and -inf, silently, at r = 0; the slope is -inf below 1 / DBL_MAX
+        with np.errstate(divide="ignore", over="ignore"):
+            return -np.log(r), -1.0 / r
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +469,15 @@ def pair_distances(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.subtract.outer(x[:, 0], y[:, 0])
-    out *= out
-    buf = np.empty_like(out)
-    for j in range(1, x.shape[1]):
-        np.subtract.outer(x[:, j], y[:, j], out=buf)
-        buf *= buf
-        out += buf
+    # points more than about 1e154 apart are inf apart
+    with np.errstate(over="ignore"):
+        out = np.subtract.outer(x[:, 0], y[:, 0])
+        out *= out
+        buf = np.empty_like(out)
+        for j in range(1, x.shape[1]):
+            np.subtract.outer(x[:, j], y[:, j], out=buf)
+            buf *= buf
+            out += buf
     return np.sqrt(out, out=out)
 
 

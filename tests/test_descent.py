@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from chargeflow.errors import (
     NonDifferentiablePoint,
 )
 from chargeflow import descent
-from chargeflow.harmonic import TabulatedPotential
 from chargeflow.loss import Objective, TargetNetwork, VectorObjective
 from chargeflow.potentials import (
     AlmostHarmonicPotential,
@@ -550,9 +551,7 @@ def init_objectives(pot):
 def uncertified_table(table):
     """The table with its slopes scaled 4x: the midpoint overshoot check
     still passes, but each log-log cubic now dips and rises again."""
-    data = table.to_dict()
-    data["derivs"] = (4.0 * np.asarray(data["derivs"])).tolist()
-    return TabulatedPotential.from_dict(data)
+    return dataclasses.replace(table, derivs=4.0 * table.derivs)
 
 
 class TestPrunedInit:

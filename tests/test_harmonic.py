@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import warnings
 
 import mpmath
@@ -10,8 +12,8 @@ from chargeflow.errors import (
     TooCloseToOrigin,
     UnsupportedDimension,
 )
+from chargeflow import harmonic
 from chargeflow.harmonic import (
-    GridSpec,
     TabulatedPotential,
     build_almost_harmonic,
     cache_key,
@@ -123,7 +125,7 @@ class TestConstruction:
         assert almost_table.value_and_deriv(tiny)[1] == 0.0
 
     def test_analytic_tail_beyond_grid(self, almost_table):
-        r = almost_table.grid_spec.r_max + 4.0
+        r = almost_table.r_grid[-1] + 4.0
         expected = np.exp(-r) / r / almost_table.z
         assert almost_table.value(r) == pytest.approx(expected, rel=1e-12)
 
@@ -169,7 +171,7 @@ class TestConstruction:
             build_almost_harmonic(3, 1.5)
 
     def test_lambda_scaling(self):
-        tab = build_almost_harmonic(3, 0.1, 4.0, grid=GridSpec(n=1024))
+        tab = build_almost_harmonic(3, 0.1, 4.0)
         # tail is e^{-2r}/r up to normalization
         ratio = tab.value(1.0) / tab.value(2.0)
         assert ratio == pytest.approx((np.exp(-2.0) / 1.0) / (np.exp(-4.0) / 2.0), rel=1e-6)
@@ -239,7 +241,7 @@ class TestKnotLookup:
 
     @pytest.fixture(scope="class")
     def tables(self, almost_table):
-        return [almost_table, build_almost_harmonic(3, 0.3, 4.0, grid=GridSpec(n=300))]
+        return [almost_table, build_almost_harmonic(3, 0.3, 4.0)]
 
     def test_evaluator_matches_searchsorted_oracle(self, tables):
         rng = np.random.default_rng(12)
@@ -321,22 +323,16 @@ class TestMonotoneCertificate:
     def test_steep_slopes_fail_fritsch_carlson(self, almost_table):
         # slopes 4x the secants keep every cubic's midpoint at the knots'
         # mean (the overshoot check passes) while the cubic rises inside
-        data = almost_table.to_dict()
-        data["derivs"] = (4.0 * np.asarray(data["derivs"])).tolist()
-        tab = TabulatedPotential.from_dict(data)
+        tab = dataclasses.replace(almost_table, derivs=4.0 * almost_table.derivs)
         assert not tab.nonincreasing
         assert np.any(np.diff(tab.value(np.linspace(0.0, 10.0, 100_001))) > 0.0)
 
-    @pytest.mark.parametrize("field", ["values", "p_coeffs"])
-    def test_rising_knot_or_signed_tail_uncertified(self, almost_table, field):
-        data = almost_table.to_dict()
-        if field == "values":
-            # a knot value raised past its left neighbour (the cubics still
-            # pass the overshoot check: the raised knot's slope is kept)
-            data["values"][1] = data["values"][0] * 1.01
-        else:
-            data["p_coeffs"] = [-1.0]
-        assert not TabulatedPotential.from_dict(data).nonincreasing
+    def test_rising_knot_uncertified(self, almost_table):
+        # a knot value raised past its left neighbour (the cubics still pass
+        # the overshoot check: the raised knot's slope is kept)
+        values = almost_table.values.copy()
+        values[1] = values[0] * 1.01
+        assert not dataclasses.replace(almost_table, values=values).nonincreasing
 
 
 class TestSerializationAndCache:
@@ -351,34 +347,44 @@ class TestSerializationAndCache:
         )
         assert again.z == almost_table.z
 
+    @pytest.mark.parametrize("key,bad,error", [("d", 4, EvenDimension), ("lam", -1.0, ValueError)])
+    def test_load_validates_the_tail(self, almost_table, tmp_path, key, bad, error):
+        # the closed-form tail is rebuilt from (d, lam), which checks them
+        path = tmp_path / "tab.json"
+        almost_table.save(path)
+        data = json.loads(path.read_text())
+        data[key] = bad
+        path.write_text(json.dumps(data))
+        with pytest.raises(error):
+            TabulatedPotential.load(path)
+
     def test_overshooting_slopes_rejected(self, almost_table):
         # one knot's slope scaled past 5x its neighbours' pushes the cubic's
         # midpoint, y_mid = (y0 + y1)/2 + h (m0 - m1)/8, outside [y1, y0]
-        data = almost_table.to_dict()
-        data["derivs"][len(data["derivs"]) // 2] *= 10.0
+        derivs = almost_table.derivs.copy()
+        derivs[derivs.size // 2] *= 10.0
         with pytest.raises(GridTooCoarse, match="log-log cubic overshoots between knots"):
-            TabulatedPotential.from_dict(data)
+            dataclasses.replace(almost_table, derivs=derivs)
 
-    def test_cache_key_sensitivity(self):
-        g = GridSpec()
-        base = cache_key(3, 0.1, 1.0, g)
-        assert cache_key(3, 0.2, 1.0, g) != base
-        assert cache_key(3, 0.1, 2.0, g) != base
-        assert cache_key(3, 0.1, 1.0, GridSpec(n=2048)) != base
+    def test_cache_key_sensitivity(self, monkeypatch):
+        base = cache_key(3, 0.1, 1.0)
+        assert cache_key(3, 0.2, 1.0) != base
+        assert cache_key(3, 0.1, 2.0) != base
+        # the schema version stands for the knot constants
+        monkeypatch.setattr(harmonic, "SCHEMA_VERSION", harmonic.SCHEMA_VERSION + 1)
+        assert cache_key(3, 0.1, 1.0) != base
 
     def test_load_or_build_uses_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHARGEFLOW_CACHE_DIR", str(tmp_path))
-        grid = GridSpec(n=512)
-        first = load_or_build_almost_harmonic(3, 0.2, 1.0, grid)
+        first = load_or_build_almost_harmonic(3, 0.2, 1.0)
         assert len(list(tmp_path.iterdir())) == 1
-        second = load_or_build_almost_harmonic(3, 0.2, 1.0, grid)
+        second = load_or_build_almost_harmonic(3, 0.2, 1.0)
         np.testing.assert_array_equal(first.values, second.values)
 
     def test_overlapping_cold_builds(self, tmp_path, monkeypatch):
         # a second build of the same kernel starts and finishes while the
         # first is writing; each must move its own file into place
         monkeypatch.setenv("CHARGEFLOW_CACHE_DIR", str(tmp_path))
-        grid = GridSpec(n=512)
         save = TabulatedPotential.save
         nested = []
 
@@ -386,11 +392,11 @@ class TestSerializationAndCache:
             save(tab, path)
             # the second build writes through the plain save
             monkeypatch.setattr(TabulatedPotential, "save", save)
-            nested.append(load_or_build_almost_harmonic(3, 0.2, 1.0, grid))
+            nested.append(load_or_build_almost_harmonic(3, 0.2, 1.0))
 
         monkeypatch.setattr(TabulatedPotential, "save", save_then_build)
-        first = load_or_build_almost_harmonic(3, 0.2, 1.0, grid)
-        assert [p.name for p in tmp_path.iterdir()] == [f"almost_{cache_key(3, 0.2, 1.0, grid)}.json"]
+        first = load_or_build_almost_harmonic(3, 0.2, 1.0)
+        assert [p.name for p in tmp_path.iterdir()] == [f"almost_{cache_key(3, 0.2, 1.0)}.json"]
         np.testing.assert_array_equal(first.values, nested[0].values)
         np.testing.assert_array_equal(TabulatedPotential.load(next(tmp_path.iterdir())).values, first.values)
 
@@ -403,5 +409,5 @@ class TestSerializationAndCache:
 
         monkeypatch.setattr(TabulatedPotential, "save", fail)
         with pytest.raises(OSError, match="disk full"):
-            load_or_build_almost_harmonic(3, 0.2, 1.0, GridSpec(n=512))
+            load_or_build_almost_harmonic(3, 0.2, 1.0)
         assert list(tmp_path.iterdir()) == []

@@ -287,6 +287,49 @@ class TestPairCore:
         np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize(
+        "kind", README_KERNEL_IDS + ("exp1d:lambda=0", "explh:lambda=0,d=3", "coulomb:d=1", "hermite-dual")
+    )
+    def test_phi_is_the_value_of_phi_and_dphi(self, kind, almost_table):
+        # byte for byte, signed zeros and NaN included, for arrays and scalars
+        pot = self.kernel(kind)
+        if pot.manifold == "sphere":
+            s = np.concatenate([[0.0, 5e-324, -5e-324, np.nan], np.linspace(-1.0, 1.0, 4097)])
+            if kind == "sign":
+                s = s[np.isnan(s) | (np.abs(s) < 1.0 - 1e-12)]
+        else:
+            g = almost_table.r_grid
+            s = np.concatenate([[0.0, 5e-324, g[-1], 1e200, np.inf, np.nan], g])
+        for arg in (s, *s[:6]):
+            value, want = pot.phi(arg), pot.phi_and_dphi(arg)[0]
+            assert type(value) is type(want)
+            assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+
+    def test_sign_phi_is_defined_at_its_kinks(self):
+        pot = SignPotential()
+        np.testing.assert_array_equal(pot.phi(np.array([-1.0, 1.0])), [-1.0, 1.0])
+        for rho in (-1.0, 1.0):
+            with pytest.raises(NonDifferentiablePoint):
+                pot.phi_and_dphi(rho)
+
+    @pytest.mark.parametrize("kind", ["explh:lambda=1,d=3", "coulomb:d=3", "log", "coulomb:d=1"])
+    def test_raw_singular_kernels_are_silent_near_zero(self, kind):
+        # a RuntimeWarning (divide by zero, overflow) fails the test as an error
+        pot = parse_potential(kind)
+        r = np.array([0.0, 5e-324, 1e-300])
+        val, slope = pot.phi_and_dphi(r)
+        assert not np.isnan(val).any() and not np.isnan(slope).any()
+        np.testing.assert_array_equal(pot.phi(r), val)
+        if kind == "coulomb:d=1":
+            np.testing.assert_array_equal(val, r)
+            np.testing.assert_array_equal(slope, 1.0)
+        else:
+            assert val[0] == np.inf and slope[0] == -np.inf
+        # the block paths still refuse zero separation with a typed error
+        x = np.zeros((1, pot.d))
+        with pytest.raises(SingularDiagonal):
+            pot.pairwise(x, x + 1e-12)
+
+    @pytest.mark.parametrize(
         "kind",
         [i for i in README_KERNEL_IDS if i.partition(":")[0] not in ("sign", "poly")]
         + ["exp1d:lambda=0", "explh:lambda=0,d=3"],
@@ -341,6 +384,14 @@ class TestPairDistances:
         dist = self.block_oracle(x[:40], y)
         vec = x[:40, None, :] - y[None, :, :]
         np.testing.assert_array_equal(g, (pot.phi_and_dphi(dist)[1] / dist)[:, :, None] * vec)
+
+    def test_far_points_are_inf_apart(self):
+        # an overflow RuntimeWarning would fail the test as an error
+        for axis in range(3):
+            far = np.zeros((1, 3))
+            far[0, axis] = 1e200
+            np.testing.assert_array_equal(pair_distances(np.zeros((1, 3)), far), [[np.inf]])
+            assert min_separation(np.vstack([np.zeros((1, 3)), far])) == np.inf
 
     def test_close_at_d10(self):
         rng = np.random.default_rng(42)

@@ -132,9 +132,7 @@ def cmd_dynamics(args):
     d = getattr(pot, "d", None) or cfg.d
     seed = cfg.seeds[0]
     rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((2 * cfg.k, d))
-    if pot.manifold == SPHERE:
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = pot.retract(rng.standard_normal((2 * cfg.k, d)))
     target = TargetNetwork(w=pts[cfg.k :], b=rng.uniform(-1.0, 1.0, cfg.k))
     hyp = Hypothesis(theta=pts[: cfg.k], a=rng.uniform(-1.0, 1.0, cfg.k))
     obj = Objective(pot, target)
@@ -229,10 +227,8 @@ def cmd_verify(args):
     verdicts = _verify_verdicts(seed=args.seed)
     if args.check != "all":
         verdicts = [v for v in verdicts if v.check == _CHECK_PREFIX[args.check]]
-    lines = [v.to_json() for v in verdicts]
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        harness.write_jsonl([v.record() for v in verdicts], args.out)
     failures = sum(not v.ok for v in verdicts)
     for v in verdicts:
         status = "PASS" if v.passed else ("EXPECTED-FAIL" if v.expected_fail else "FAIL")

@@ -69,9 +69,6 @@ class DescentReport:
     iterations: int = 0
     error: str = ""
 
-    def values(self):
-        return np.array([r.value for r in self.rows])
-
     def to_jsonl(self):
         lines = []
         for r in self.rows:
@@ -98,7 +95,6 @@ class StationaritySet:
     """Membership record for the set of eps-approximate second-order
     stationary points: small gradient and nearly-PSD Hessian."""
 
-    point: np.ndarray
     eps: float
     grad_norm: float
     lambda_min: float
@@ -234,9 +230,7 @@ def stationarity_check(objective, x, eps):
     x = np.asarray(x, dtype=float)
     _, g = objective.value_and_grad(x)
     lam_min, _ = min_eigpair(objective.hess(x))
-    return StationaritySet(
-        point=x, eps=eps, grad_norm=float(np.linalg.norm(g)), lambda_min=lam_min
-    )
+    return StationaritySet(eps=eps, grad_norm=float(np.linalg.norm(g)), lambda_min=lam_min)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class ParticleSystem:
     """Charge configuration: positions (n, d), signed charges (n,), and the
-    index set of immobile particles. Steps return new systems; charges and
-    fixed positions never change."""
+    index set of immobile particles. Steps return new systems; charges never
+    change and fixed particles do not move (on the sphere every row is
+    rescaled to unit norm after a step)."""
 
     positions: np.ndarray
     charges: np.ndarray
@@ -61,7 +62,8 @@ def velocity_field(sys: ParticleSystem, positions=None):
 
 
 def step(sys: ParticleSystem, dt, scheme="rk4"):
-    """Advance the system by dt with forward Euler or classical RK4."""
+    """Advance the system by dt with forward Euler or classical RK4; sphere
+    positions are retracted to unit norm after the step."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     x = sys.positions
@@ -75,7 +77,7 @@ def step(sys: ParticleSystem, dt, scheme="rk4"):
         new = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return replace(sys, positions=new, time=sys.time + dt)
+    return replace(sys, positions=sys.potential.retract(new), time=sys.time + dt)
 
 
 def gradient_flow_field(obj: Objective, hyp: Hypothesis):

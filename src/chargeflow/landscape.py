@@ -26,6 +26,8 @@ from .potentials import (
     CoulombPotential,
     ExpLambdaHarmonicPotential,
     LogPotential,
+    PolynomialPotential,
+    SignPotential,
     min_separation,
 )
 
@@ -47,19 +49,18 @@ class LandscapeVerdict:
         """True when the outcome matches expectation (pass, or expected fail)."""
         return self.passed != self.expected_fail
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "schema_version": 1,
-                "check": self.check,
-                "digest": self.digest,
-                "measured": self.measured,
-                "passed": self.passed,
-                "expected_fail": self.expected_fail,
-                "tol": self.tol,
-                "note": self.note,
-            }
-        )
+    def record(self):
+        """The verdict as a JSON-ready dict."""
+        return {
+            "schema_version": 1,
+            "check": self.check,
+            "digest": self.digest,
+            "measured": self.measured,
+            "passed": self.passed,
+            "expected_fail": self.expected_fail,
+            "tol": self.tol,
+            "note": self.note,
+        }
 
 
 def _digest(**config):
@@ -142,10 +143,7 @@ def subharmonic_sign_check(c, d, r):
 
 @dataclass
 class CircleScanResult:
-    angles: np.ndarray
-    scan: np.ndarray
     minima: np.ndarray
-    target_angles: np.ndarray
     matched: np.ndarray
     resolution: float
 
@@ -156,44 +154,37 @@ class CircleScanResult:
 
 def sign_circle_scan(target: TargetNetwork, n_grid=2048):
     """Scan the single-node sign-kernel loss over the circle with the outer
-    weight set optimally per angle; local minima must sit at a target
-    direction or its antipode (the kinks of the kernel).
+    weight set optimally per angle (``Objective.optimal_outer_weight``'s loss
+    change); local minima must sit at a target direction or its antipode
+    (the kinks of the kernel). Target rows off the unit circle raise
+    OffManifold.
     """
     if target.d != 2:
         raise ValueError("circle scan requires 2-d weights")
-    w_angles = np.arctan2(target.w[:, 1], target.w[:, 0])
     phis = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    # angle distance to each target, mapped to [0, pi]
-    delta = np.abs(((phis[:, None] - w_angles[None, :]) + np.pi) % (2.0 * np.pi) - np.pi)
-    # kernel is linear in the angle; optimal a gives loss const - S^2
-    s = (1.0 - 2.0 * delta / np.pi) @ target.b
-    scan = -np.square(s)
+    circle = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    scan = Objective(SignPotential(), target).optimal_outer_weight(circle)[1]
     left = np.roll(scan, 1)
     right = np.roll(scan, -1)
     min_idx = np.nonzero((scan < left) & (scan < right))[0]
     minima_angles = phis[min_idx]
     resolution = 2.0 * np.pi / n_grid
+    w_angles = np.arctan2(target.w[:, 1], target.w[:, 0])
     targets = np.concatenate([w_angles, w_angles + np.pi]) % (2.0 * np.pi)
     diff = np.abs(((minima_angles[:, None] - targets[None, :]) + np.pi) % (2.0 * np.pi) - np.pi)
     matched = diff.min(axis=1) <= resolution if len(minima_angles) else np.array([], dtype=bool)
-    return CircleScanResult(
-        angles=phis,
-        scan=scan,
-        minima=minima_angles,
-        target_angles=targets,
-        matched=matched,
-        resolution=resolution,
-    )
+    return CircleScanResult(minima=minima_angles, matched=matched, resolution=resolution)
 
 
 def poly_orthonormal_check(l, theta, b, tol=1e-4, fd_step=1e-3):
     """Negative-curvature witness for the degree-l kernel with orthonormal
-    fixed directions.
+    fixed directions, measured through ``Objective`` with the fixed charges
+    b at the basis vectors.
 
     At a critical point whose direction has >= 2 nonzero coordinates, the
     tangent direction supported on two of them carries curvature
-    -2 (l-2) l a^2 < 0; verified against a second difference along the
-    normalized path.
+    -2 (l-2) l a^2 < 0; verified against a second difference of the loss
+    along the retracted path.
     """
     if l < 3:
         raise ValueError("need l >= 3")
@@ -202,13 +193,13 @@ def poly_orthonormal_check(l, theta, b, tol=1e-4, fd_step=1e-3):
     if theta.ndim != 1 or b.shape != theta.shape:
         raise ValueError("theta and b must have shape (d,)")
     d = theta.shape[0]
-    theta = theta / np.linalg.norm(theta)
-    s = float(b @ theta**l)
-    a = -s  # unregularized single-node optimum
-    lagrange = a * l * s
+    pot = PolynomialPotential(l)
+    obj = Objective(pot, TargetNetwork(np.eye(d), b))
+    theta = pot.retract(theta)
+    a = obj.optimal_outer_weight(theta)[0]  # unregularized single-node optimum
 
-    # first-order manifold conditions
-    grad = 2.0 * a * b * l * theta ** (l - 1) - 2.0 * lagrange * theta
+    # first-order manifold condition: the tangent gradient vanishes
+    grad = obj.grad(Hypothesis(theta=theta, a=[a]))[1]
     if np.linalg.norm(grad) > 1e-6 * max(1.0, abs(a)):
         raise NotACriticalPoint(f"|tangent gradient| = {np.linalg.norm(grad):g}")
 
@@ -223,13 +214,9 @@ def poly_orthonormal_check(l, theta, b, tol=1e-4, fd_step=1e-3):
         v = np.zeros(d)
         v[i], v[j] = theta[j], -theta[i]
         v /= np.linalg.norm(v)
-
-        def path_loss(t):
-            p = theta + t * v
-            p = p / np.linalg.norm(p)
-            return a * a + 2.0 * a * float(b @ p**l)
-
-        curvature = (path_loss(fd_step) - 2.0 * path_loss(0.0) + path_loss(-fd_step)) / fd_step**2
+        path = [pot.retract(theta + t * v) for t in (fd_step, 0.0, -fd_step)]
+        f = [obj.loss(Hypothesis(theta=p, a=[a])) for p in path]
+        curvature = (f[0] - 2.0 * f[1] + f[2]) / fd_step**2
         measured["curvature"] = float(curvature)
         if abs(a) < 1e-12:
             note = "a = 0: zero curvature; the descent path reaches this with probability zero"

@@ -210,8 +210,8 @@ class VectorObjective:
 
     Packing: x = [a_1..a_k, theta_11..theta_1d, ..., theta_kd]. ``hess``
     takes central differences of the ``value_and_grad`` gradient;
-    ``project`` renormalizes the hidden vectors for sphere kernels and is the
-    identity otherwise.
+    ``project`` retracts the hidden vectors with ``Potential.retract`` and is
+    the identity off the sphere.
     """
 
     objective: Objective
@@ -238,11 +238,8 @@ class VectorObjective:
     def project(self, x):
         if self.objective.potential.manifold != SPHERE:
             return x
-        out = x.copy()
-        theta = out[self.k :].reshape(self.k, self.d)
-        norms = np.linalg.norm(theta, axis=1, keepdims=True)
-        theta /= norms
-        return out
+        theta = self.objective.potential.retract(x[self.k :].reshape(self.k, self.d))
+        return np.concatenate([x[: self.k], theta.ravel()])
 
 
 class NodeObjective(VectorObjective):

@@ -176,6 +176,13 @@ class Potential:
             return g
         return g - np.sum(g * x, axis=-1, keepdims=True) * x
 
+    def retract(self, x):
+        """Rows of x scaled to unit norm on the sphere; off the sphere, x
+        itself (no copy)."""
+        if self.manifold != SPHERE:
+            return x
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
     def grad_theta(self, theta, w):
         """Gradient in the first argument; sphere kernels return the tangent
         projection."""

@@ -11,6 +11,7 @@ import chargeflow
 from chargeflow import cli
 from chargeflow.cli import main
 from chargeflow.harness import KEY_TYPES, ExperimentConfig
+from chargeflow.landscape import LandscapeVerdict
 
 from conftest import README_KERNEL_IDS
 
@@ -114,6 +115,17 @@ class TestVerify:
         assert any(r["check"] == "eigstrict-laplacian" for r in records)
         assert any(r["expected_fail"] for r in records)  # the control case
         assert all(r["passed"] or r["expected_fail"] for r in records)
+
+    def test_non_finite_measurement_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        # NaN is not JSON: the run fails before the output file is opened
+        verdict = LandscapeVerdict(
+            check="earnshaw-trace", digest="x", measured={"trace": float("nan")}, passed=True, tol=1.0
+        )
+        monkeypatch.setattr(cli, "_verify_verdicts", lambda seed=0: [verdict])
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["verify", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDynamics:

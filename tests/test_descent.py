@@ -319,7 +319,7 @@ class TestSecondGD:
             obj = quadratic_objective(m, rng.standard_normal(4))
             cfg = DescentConfig(T=200, alpha=0.1 / np.linalg.norm(m, 2), eta=1e-3, gamma=1e-3)
             rep = second_gd(obj, rng.standard_normal(4), cfg)
-            vals = rep.values()
+            vals = np.array([r.value for r in rep.rows])
             cutoff = len(vals) - 1 if rep.termination == "early_stop" else len(vals)
             assert np.all(np.diff(vals[:cutoff]) <= 0)
 

@@ -134,6 +134,22 @@ class TestStep:
         with pytest.raises(ValueError):
             step(sys_, 0.1, "leapfrog")
 
+    @pytest.mark.parametrize("scheme", ["euler", "rk4"])
+    @pytest.mark.parametrize("kind", ["sign", "poly"])
+    def test_sphere_flow_stays_on_the_sphere(self, kind, scheme):
+        # without the retraction a step at dt 0.1 leaves the sphere
+        rng = np.random.default_rng(70)
+        pot = SignPotential() if kind == "sign" else PolynomialPotential(3)
+        pts = rng.standard_normal((6, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        obj = Objective(pot, TargetNetwork(w=pts[3:], b=rng.uniform(-1, 1, 3)))
+        sys_ = system_from_objective(obj, Hypothesis(theta=pts[:3], a=rng.uniform(-1, 1, 3)))
+        _, records = run_trajectory(sys_, 20, 0.1, scheme=scheme)
+        assert len(records) == 21
+        for rec in records:
+            norms = np.linalg.norm(rec["positions"], axis=1)
+            assert np.max(np.abs(norms - 1.0)) <= 1e-12, rec["step"]
+
 
 class TestGradientFlowEquivalence:
     def test_field_equivalence(self):

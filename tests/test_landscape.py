@@ -4,6 +4,7 @@ import pytest
 from chargeflow.errors import (
     DegenerateCluster,
     NotACriticalPoint,
+    OffManifold,
     TooCloseToSingularity,
 )
 from chargeflow.landscape import (
@@ -198,6 +199,27 @@ class TestSignCircleScan:
         )
         shifted = np.sort((res_a.minima + shift) % (2 * np.pi))
         np.testing.assert_allclose(np.sort(res_b.minima), shifted, atol=1e-9)
+
+    def test_minima_match_the_closed_form(self):
+        # oracle: the sign kernel is linear in the angle, 1 - 2 delta / pi,
+        # and the optimal outer weight leaves the loss change -S^2
+        rng = np.random.default_rng(10)
+        for trial in range(60):
+            k, n_grid = 1 + trial % 5, (1024, 2048, 4096)[trial % 3]
+            angles = rng.uniform(0, 2 * np.pi, k)
+            w = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            b = rng.uniform(-1, 1, k)
+            phis = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+            w_angles = np.arctan2(w[:, 1], w[:, 0])
+            delta = np.abs(((phis[:, None] - w_angles[None, :]) + np.pi) % (2.0 * np.pi) - np.pi)
+            scan = -np.square((1.0 - 2.0 * delta / np.pi) @ b)
+            want = phis[(scan < np.roll(scan, 1)) & (scan < np.roll(scan, -1))]
+            res = sign_circle_scan(TargetNetwork(w=w, b=b), n_grid)
+            np.testing.assert_array_equal(res.minima, want)
+
+    def test_target_off_the_circle(self):
+        with pytest.raises(OffManifold):
+            sign_circle_scan(TargetNetwork(w=[[1.0, 0.0], [0.0, 1.1]], b=[1.0, 0.5]), 1024)
 
 
 class TestPolyOrthonormal:

@@ -233,6 +233,27 @@ class TestGradient:
         np.testing.assert_allclose(gt, gt2, atol=1e-12)
 
 
+class TestProject:
+    @pytest.mark.parametrize("pot", [SignPotential(), PolynomialPotential(3)], ids=["sign", "poly"])
+    def test_sphere_rows_divided_by_their_norms(self, pot):
+        rng = np.random.default_rng(13)
+        w = rng.standard_normal((2, 4))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        vec = VectorObjective(Objective(pot, TargetNetwork(w=w, b=[1.0, -0.5])), 3, 4)
+        for _ in range(50):
+            x = rng.standard_normal(vec.dim) * rng.uniform(0.5, 2.0)
+            want = x.copy()
+            theta = want[3:].reshape(3, 4)
+            theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+            np.testing.assert_array_equal(vec.project(x), want)
+
+    def test_identity_off_the_sphere(self):
+        obj = Objective(GaussianPotential(1.0), TargetNetwork(w=np.eye(3), b=[1.0, 0.5, -1.0]))
+        vec = VectorObjective(obj, 2, 3)
+        x = np.arange(8.0)
+        assert vec.project(x) is x
+
+
 class TestNodeObjective:
     @pytest.mark.parametrize("reg", ["none", "charge"])
     @pytest.mark.parametrize("kind", ["gauss:c=1", "exp1d:lambda=1", "almost:eps=0.1,lambda=1,d=3"])

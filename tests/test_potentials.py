@@ -367,6 +367,20 @@ class TestPairCore:
                     np.testing.assert_allclose(basis @ g[i, j], fd, rtol=1e-6, atol=1e-8)
 
 
+class TestRetract:
+    @pytest.mark.parametrize("kind", TestPairCore.IDS)
+    def test_unit_rows_on_the_sphere_identity_off_it(self, kind):
+        pot = TestPairCore.kernel(kind)
+        x = np.random.default_rng(12).standard_normal((5, 3)) * 3.0
+        if pot.manifold != "sphere":
+            assert pot.retract(x) is x
+            return
+        out = pot.retract(x)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.sum(out * x, axis=1), np.linalg.norm(x, axis=1), rtol=1e-14)
+        np.testing.assert_allclose(np.linalg.norm(pot.retract(x[0])), 1.0, rtol=0, atol=1e-15)
+
+
 class TestPairDistances:
     @staticmethod
     def block_oracle(x, y):

@@ -61,11 +61,9 @@ from .loss import (
 )
 from .potentials import (
     Activation,
-    AlmostHarmonicPotential,
     BesselK0Activation,
     BesselK1RadialActivation,
     CoulombPotential,
-    ExpLambdaHarmonicPotential,
     GaussianActivation,
     GaussianPotential,
     HermiteActivation,

@@ -243,6 +243,7 @@ def cmd_potential_info(args):
     print(f"name: {pot.name}")
     print(f"manifold: {pot.manifold}")
     print(f"finite diagonal: {pot.finite_diagonal}")
+    print(f"radially non-increasing: {pot.radially_nonincreasing}")
     if pot.manifold == SPHERE:
         probes = {f"rho={rho:+.1f}": rho for rho in (1.0, 0.5, 0.0, -0.5)}
     else:

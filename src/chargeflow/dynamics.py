@@ -39,7 +39,7 @@ class ParticleSystem:
         object.__setattr__(self, "fixed", frozenset(int(i) for i in self.fixed))
         if self.positions.shape[0] != self.charges.shape[0]:
             raise ValueError("one charge per particle required")
-        self.potential.check_dimension(self.positions.shape[1])
+        self.potential.check_points(self.positions, "particle positions")
 
     @property
     def n(self):

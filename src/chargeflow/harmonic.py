@@ -28,12 +28,11 @@ from .errors import (
     TooCloseToOrigin,
     UnsupportedDimension,
 )
+from .potentials import _EXP_UNDERFLOW, Potential
 
 # the cache file layout and the knot constants below; bump when either changes
 SCHEMA_VERSION = 2
 
-# exp(-x) rounds to 0.0 for every x >= this (the smallest subnormal is e^-744.4)
-_EXP_UNDERFLOW = 746.0
 # absolute agreement between successive Simpson doublings of the construction
 _QUADRATURE_TOL = 1e-10
 
@@ -104,13 +103,24 @@ def _simpson_doubling(f, a, b, tol, n0, max_doublings):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LambdaHarmonicRadial:
-    """phi(r) = p(r) exp(-sqrt(lam) r) / r^(d-2) with laplacian(phi) = lam*phi for r > 0."""
+@dataclass(frozen=True, eq=False)
+class LambdaHarmonicRadial(Potential):
+    """phi(r) = p(r) exp(-sqrt(lam) r) / r^(d-2) with laplacian(phi) = lam*phi for r > 0.
+
+    As a kernel (``explh``) it is singular on the diagonal; ``finite_diagonal``
+    still holds, so the quadratic loss takes its self-terms as 1.0, the
+    normalized limit of the bounded tabulated variant.
+    """
+
+    raw_singular = True
 
     d: int
     lam: float
     coeffs: np.ndarray  # ascending, coeffs[0] == 1, length (d-3)/2 + 1
+
+    @property
+    def name(self):
+        return f"explh:lambda={self.lam:g},d={self.d}"
 
     @property
     def s(self):
@@ -124,11 +134,15 @@ class LambdaHarmonicRadial:
         s = self.s
         return np.minimum(r, _EXP_UNDERFLOW / s), np.exp(-s * r)
 
-    def phi(self, r):
-        return self.phi_and_deriv(r)[0]
+    def phi_and_dphi(self, r):
+        # +inf and -inf, silently, at r = 0 and where a power of r underflows
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.phi_and_deriv(r)
 
     def phi_and_deriv(self, r):
-        """(phi, phi') sharing one exp(-s r)."""
+        """(phi, phi') sharing one exp(-s r). No errstate here: the
+        tabulated tail calls it on every evaluation, at r >= 20 only, where
+        nothing overflows."""
         if self.lam == 0:
             # p = 1: the harmonic r^(2-d), which underflows to 0 unaided
             r = np.asarray(r, dtype=float)
@@ -247,9 +261,9 @@ def _base_tails(eps, r, c, x_hi, m):
     return [sum(p * w for p, w in zip(P, moments)) for P in (value, deriv)]
 
 
-@dataclass
-class TabulatedPotential:
-    """Radial kernel tabulation: eigenfunction tail, bounded core.
+@dataclass(eq=False)
+class TabulatedPotential(Potential):
+    """Radial kernel tabulation (``almost``): eigenfunction tail, bounded core.
 
     Values are normalized so value(0) = 1; ``z`` is the un-normalized value at
     the origin. Evaluation interpolates log(value) against log(r) with a cubic
@@ -258,11 +272,12 @@ class TabulatedPotential:
     A cubic whose interval midpoint leaves the range of its knots raises
     GridTooCoarse.
 
-    ``nonincreasing`` certifies that the kernel never rises with r: the knot
-    values do not rise and every log-log cubic passes the Fritsch-Carlson test
-    (alpha, beta >= 0 and alpha^2 + beta^2 <= 9, a sufficient condition for
-    a monotone cubic Hermite). The closed-form tail cannot rise: its
-    coefficients are non-negative for every odd d >= 3 and lam >= 0.
+    ``radially_nonincreasing`` certifies that the kernel never rises with r:
+    the knot values do not rise and every log-log cubic passes the
+    Fritsch-Carlson test (alpha, beta >= 0 and alpha^2 + beta^2 <= 9, a
+    sufficient condition for a monotone cubic Hermite). The closed-form tail
+    cannot rise: its coefficients are non-negative for every odd d >= 3 and
+    lam >= 0.
     """
 
     d: int
@@ -294,7 +309,7 @@ class TabulatedPotential:
         # non-negative with alpha^2 + beta^2 <= 9
         s = np.diff(y) / np.diff(x)
         m0, m1 = dydx[:-1], dydx[1:]
-        self.nonincreasing = bool(
+        self.radially_nonincreasing = bool(
             np.all(np.diff(self.values) <= 0.0)
             and np.all((m0 * s >= 0.0) & (m1 * s >= 0.0) & (m0 * m0 + m1 * m1 <= 9.0 * s * s))
         )
@@ -342,6 +357,18 @@ class TabulatedPotential:
     def value_and_deriv(self, r):
         """(value, d value / d r) in one pass."""
         return self._evaluate(r)
+
+    @property
+    def name(self):
+        return f"almost:eps={self.eps:g},lambda={self.lam:g},d={self.d}"
+
+    # methods, not aliases: a tracer that patches ``value`` on the class
+    # (perfbench times it as init scoring's bulk path) must see these calls
+    def phi(self, r):
+        return self.value(r)
+
+    def phi_and_dphi(self, r):
+        return self.value_and_deriv(r)
 
     # -- serialization -----------------------------------------------------
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonDifferentiablePoint, SingularDiagonal
-from .potentials import _COLLISION_GUARD, SPHERE, Potential, check_unit_rows
+from .potentials import _COLLISION_GUARD, SPHERE, Potential
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ class Objective:
         self.potential = potential
         self.target = target
         self.regularization = regularization
-        potential.check_dimension(target.d)
-        if potential.manifold == SPHERE:
-            check_unit_rows(target.w, f"{potential.name} target weights")
+        potential.check_points(target.w, "target weights")
         # a finite diagonal is normalized to 1; an infinite one is omitted
         self_energy = 1.0 if potential.finite_diagonal else 0.0
         self._quad = self_energy + (1.0 if regularization == "charge" else 0.0)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import harmonic
 from .errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -29,6 +28,8 @@ EUCLIDEAN = "euclidean"
 SPHERE = "sphere"
 
 _COLLISION_GUARD = 1e-10
+# exp(-x) rounds to 0.0 for every x >= this (the smallest subnormal is e^-744.4)
+_EXP_UNDERFLOW = 746.0
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +93,16 @@ class Potential:
     # separation r, the property init scoring prunes with
     radially_nonincreasing = False
 
-    def check_dimension(self, n):
-        """Raise DimensionMismatch when the kernel is built for a dimension
-        ``d`` other than n; kernels without a ``d`` take any dimension."""
+    def check_points(self, x, what):
+        """Raise DimensionMismatch when the rows of x have a dimension other
+        than the kernel's ``d`` (kernels without a ``d`` take any), and, on
+        the sphere, OffManifold unless every row has unit norm."""
         d = getattr(self, "d", None)
+        n = np.shape(x)[-1]
         if d is not None and n != d:
             raise DimensionMismatch(f"{self.name} expects dimension {d}, got {n}")
+        if self.manifold == SPHERE:
+            check_unit_rows(x, f"{self.name} {what}")
 
     def phi(self, s):
         """Kernel value at the pair argument s."""
@@ -219,7 +224,7 @@ class GaussianPotential(Potential):
         self.c = float(c)
         self.name = f"gauss:c={c:g}"
         # exp is 0 past this r; the cap gives 0, not NaN, at r = inf or huge r
-        self._r_cap = float(np.sqrt(2.0 * harmonic._EXP_UNDERFLOW / self.c))
+        self._r_cap = float(np.sqrt(2.0 * _EXP_UNDERFLOW / self.c))
 
     def phi_and_dphi(self, r):
         r = np.minimum(r, self._r_cap)
@@ -227,27 +232,6 @@ class GaussianPotential(Potential):
         # one multiply fewer, which pays for the cap
         e = np.exp(np.square(r) * (-0.5 * self.c))
         return e, -self.c * r * e
-
-
-class ExpLambdaHarmonicPotential(Potential):
-    """Raw Laplacian eigenfunction kernel p(r) e^{-sqrt(lam) r} / r^(d-2).
-
-    Singular on the diagonal; ``finite_diagonal`` still holds, so the
-    quadratic loss takes its self-terms as 1.0, the normalized limit of the
-    bounded tabulated variant.
-    """
-
-    raw_singular = True
-
-    def __init__(self, lam=1.0, d=3):
-        self.radial = harmonic.lambda_harmonic_poly(d, lam)
-        self.d = int(d)
-        self.name = f"explh:lambda={lam:g},d={d}"
-
-    def phi_and_dphi(self, r):
-        # +inf and -inf, silently, at r = 0 and where a power of r underflows
-        with np.errstate(divide="ignore", over="ignore"):
-            return self.radial.phi_and_deriv(r)
 
 
 class PolynomialPotential(Potential):
@@ -287,28 +271,6 @@ class HermiteDualPotential(Potential):
         return poly.polyval(rho, self.taylor) / self.z, poly.polyval(rho, d) / self.z
 
 
-class AlmostHarmonicPotential(Potential):
-    """Bounded tabulated kernel, exact Laplacian eigenfunction for r >= eps."""
-
-    def __init__(self, table: harmonic.TabulatedPotential):
-        self.table = table
-        self.radially_nonincreasing = table.nonincreasing
-        self.d = table.d
-        self.name = f"almost:eps={table.eps:g},lambda={table.lam:g},d={table.d}"
-
-    @classmethod
-    def from_params(cls, eps=0.1, lam=1.0, d=3):
-        """The kernel of the tabulation in the on-disk cache."""
-        return cls(harmonic.load_or_build_almost_harmonic(d, eps, lam))
-
-    # init scoring's bulk path; perfbench traces ``value`` as its own layer
-    def phi(self, r):
-        return self.table.value(r)
-
-    def phi_and_dphi(self, r):
-        return self.table.value_and_deriv(r)
-
-
 class LaplaceExpPotential(Potential):
     """exp(-sqrt(lam) r); the one-dimensional Laplacian eigenfunction kernel."""
 
@@ -320,7 +282,7 @@ class LaplaceExpPotential(Potential):
         self.s = float(np.sqrt(lam))
         self.name = f"exp1d:lambda={lam:g}"
         # exp is 0 past this r (phi = 1 at lambda = 0): no -0.0 * inf = NaN
-        self._r_cap = harmonic._EXP_UNDERFLOW / self.s if self.s > 0 else 0.0
+        self._r_cap = _EXP_UNDERFLOW / self.s if self.s > 0 else 0.0
 
     def phi_and_dphi(self, r):
         e = np.exp(-self.s * np.minimum(r, self._r_cap))
@@ -510,17 +472,6 @@ def check_unit_rows(x, what):
         raise OffManifold(f"{what} must have unit norm, got |v| = {norms.tolist()}")
 
 
-def _check_points(pot, theta, w):
-    theta = np.asarray(theta, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if theta.shape != w.shape or theta.ndim != 1:
-        raise DimensionMismatch(f"shapes {theta.shape} vs {w.shape}")
-    pot.check_dimension(theta.shape[0])
-    if pot.manifold == SPHERE:
-        check_unit_rows([theta, w], f"{pot.name} kernel points")
-    return theta, w
-
-
 def eval_potential(pot, theta, w):
     """Normalized kernel value with manifold checks: one ``phi`` call on the
     pair argument, computed here without the pair core (tests use this path
@@ -529,7 +480,11 @@ def eval_potential(pot, theta, w):
     Kernels with a singular diagonal (the raw eigenfunction form, Coulomb,
     log) refuse zero separation; every other Euclidean kernel has phi(0) = 1.
     """
-    theta, w = _check_points(pot, theta, w)
+    theta = np.asarray(theta, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if theta.shape != w.shape or theta.ndim != 1:
+        raise DimensionMismatch(f"shapes {theta.shape} vs {w.shape}")
+    pot.check_points(np.stack([theta, w]), "kernel points")
     if pot.manifold == SPHERE:
         return float(pot.phi(float(np.dot(theta, w))))
     r = float(np.linalg.norm(theta - w))
@@ -662,34 +617,38 @@ def realizability_certificate_radial(r, values, d, tol=1e-6, omega=None, n_omega
 # ---------------------------------------------------------------------------
 
 
-# id kind -> (builder, {id key: builder argument}); every default lives in
-# the builder, and "d" and "l" take integers
-_KINDS = {
-    "sign": (SignPotential, {}),
-    "gauss": (GaussianPotential, {"c": "c"}),
-    "explh": (ExpLambdaHarmonicPotential, {"lambda": "lam", "d": "d"}),
-    "poly": (PolynomialPotential, {"l": "l"}),
-    "almost": (AlmostHarmonicPotential.from_params, {"eps": "eps", "lambda": "lam", "d": "d"}),
-    "exp1d": (LaplaceExpPotential, {"lambda": "lam"}),
-    "coulomb": (CoulombPotential, {"d": "d"}),
-    "log": (LogPotential, {}),
-}
-
-
 def parse_potential(identifier):
     """Build a kernel from its string id.
 
     Ids: "sign", "gauss:c=1.0", "explh:lambda=1,d=3", "poly:l=3",
     "almost:eps=0.1,lambda=1,d=3", "exp1d:lambda=1", "coulomb:d=3", "log";
-    an omitted key takes the constructor's default, and "almost" kinds take
-    their tabulation from the on-disk cache. An unknown or repeated key, a
+    an omitted key takes the builder's default, and "almost" kinds are the
+    tabulation from the on-disk cache itself. An unknown or repeated key, a
     non-integer ``d`` or ``l`` and an out-of-range value raise ValueError
     naming the key.
     """
+    # harmonic imports this module, so its builders are imported on use
+    from .harmonic import lambda_harmonic_poly, load_or_build_almost_harmonic
+
+    # id kind -> (builder, {id key: builder argument}); every default lives in
+    # the builder, and "d" and "l" take integers
+    kinds = {
+        "sign": (SignPotential, {}),
+        "gauss": (GaussianPotential, {"c": "c"}),
+        "explh": (lambda lam=1.0, d=3: lambda_harmonic_poly(d, lam), {"lambda": "lam", "d": "d"}),
+        "poly": (PolynomialPotential, {"l": "l"}),
+        "almost": (
+            lambda eps=0.1, lam=1.0, d=3: load_or_build_almost_harmonic(d, eps, lam),
+            {"eps": "eps", "lambda": "lam", "d": "d"},
+        ),
+        "exp1d": (LaplaceExpPotential, {"lambda": "lam"}),
+        "coulomb": (CoulombPotential, {"d": "d"}),
+        "log": (LogPotential, {}),
+    }
     head, _, rest = identifier.partition(":")
-    if head not in _KINDS:
+    if head not in kinds:
         raise ValueError(f"unknown potential id {identifier!r}")
-    build, keys = _KINDS[head]
+    build, keys = kinds[head]
     args = {}
     for part in rest.split(",") if rest else ():
         key, _, val = (t.strip() for t in part.partition("="))

@@ -261,6 +261,19 @@ class TestMisc:
     def test_potential_info_on_readme_ids(self, ident, capsys):
         assert main(["potential-info", "--potential", ident]) == 0
 
+    @pytest.mark.parametrize(
+        "ident,certified",
+        [
+            ("almost:eps=0.1,lambda=1,d=3", True),
+            ("gauss:c=1", True),
+            ("sign", False),
+            ("explh:lambda=1,d=3", False),
+        ],
+    )
+    def test_potential_info_prints_the_pruning_certificate(self, ident, certified, capsys):
+        assert main(["potential-info", "--potential", ident]) == 0
+        assert f"radially non-increasing: {certified}\n" in capsys.readouterr().out
+
     def test_potential_info_on_harmonic_almost_kernel(self, capsys):
         # lambda = 0: the tabulated kernel whose tail is the harmonic 1/r
         assert main(["potential-info", "--potential", "almost:eps=0.1,lambda=0,d=3"]) == 0

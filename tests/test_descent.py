@@ -27,7 +27,6 @@ from chargeflow.errors import (
 from chargeflow import descent
 from chargeflow.loss import Objective, TargetNetwork, VectorObjective
 from chargeflow.potentials import (
-    AlmostHarmonicPotential,
     GaussianPotential,
     LaplaceExpPotential,
     parse_potential,
@@ -561,7 +560,7 @@ class TestPrunedInit:
     def pot(self, request, almost_table):
         if request.param == "gauss":
             return parse_potential("gauss:c=1")
-        return AlmostHarmonicPotential(almost_table)
+        return almost_table
 
     @pytest.fixture
     def kept(self, monkeypatch):
@@ -596,7 +595,7 @@ class TestPrunedInit:
             assert scored == [trials]
 
     def test_later_chunk_without_survivors(self, almost_table, kept):
-        obj = init_objectives(AlmostHarmonicPotential(almost_table))["restricted"]
+        obj = init_objectives(almost_table)["restricted"]
         policy = RandomBallInit(4.0, trials=2 * self.CHUNK + 1000)
         got = initialize_node(obj, policy, seed=1)
         assert kept()[-1] == 0
@@ -641,9 +640,8 @@ class TestPrunedInit:
         bumpy = uncertified_table(almost_table)
         r = np.linspace(0.0, 10.0, 100_001)
         assert np.any(np.diff(bumpy.value(r)) > 0.0)
-        pot = AlmostHarmonicPotential(bumpy)
-        assert not pot.radially_nonincreasing
-        obj = init_objectives(pot)["restricted"]
+        assert not bumpy.radially_nonincreasing
+        obj = init_objectives(bumpy)["restricted"]
         policy = RandomBallInit(4.0, trials=self.CHUNK + 1000)
         got = initialize_node(obj, policy, seed=2)
         assert kept() == [self.CHUNK, 1000]
@@ -652,7 +650,7 @@ class TestPrunedInit:
         assert np.array_equal(got[1], want[1])
 
     def test_certified_kernels(self, almost_table):
-        assert AlmostHarmonicPotential(almost_table).radially_nonincreasing
+        assert almost_table.radially_nonincreasing
         assert GaussianPotential(1.0).radially_nonincreasing
         assert LaplaceExpPotential(1.0).radially_nonincreasing
         for kind in ("explh:lambda=1,d=3", "coulomb:d=3", "log", "sign", "poly:l=3"):
@@ -682,12 +680,10 @@ class TestNodeWise:
             node_wise_descent(obj, RandomBallInit(radius=1.0, trials=100), DescentConfig(T=10))
 
     def test_two_well_separated_nodes_recovered(self, almost_table):
-        from chargeflow.potentials import AlmostHarmonicPotential
-
         rng = np.random.default_rng(8)
         w = np.array([[8.0, 0.0, 0.0], [-6.0, 5.0, 0.0]])
         tgt = TargetNetwork(w=w, b=[0.7, -0.6])
-        obj = Objective(AlmostHarmonicPotential(almost_table), tgt)
+        obj = Objective(almost_table, tgt)
         cfg = DescentConfig(
             T=30_000, alpha=1e-5, eta=1e-7, gamma=1e-2, seed=0, alpha_scale="init-charge"
         )

@@ -11,11 +11,10 @@ from chargeflow.dynamics import (
     system_from_objective,
     velocity_field,
 )
-from chargeflow.errors import CollisionSingularity, DimensionMismatch
+from chargeflow.errors import CollisionSingularity, DimensionMismatch, OffManifold
 from chargeflow.harness import write_jsonl
 from chargeflow.loss import Hypothesis, Objective, TargetNetwork
 from chargeflow.potentials import (
-    AlmostHarmonicPotential,
     GaussianPotential,
     PolynomialPotential,
     SignPotential,
@@ -51,12 +50,11 @@ class TestNetForce:
         np.testing.assert_allclose(velocity_field(sys_)[1], 0.0, atol=1e-15)
 
     def test_collision_guard_for_kinked_kernel(self, almost_table):
-        pot = AlmostHarmonicPotential(almost_table)
         sys_ = ParticleSystem(
             positions=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-12]]),
             charges=np.array([1.0, -1.0]),
             fixed=frozenset(),
-            potential=pot,
+            potential=almost_table,
         )
         with pytest.raises(CollisionSingularity):
             velocity_field(sys_)
@@ -67,7 +65,18 @@ class TestNetForce:
                 positions=np.array([[0.0, 0.0], [1.0, 0.0]]),
                 charges=np.array([1.0, -1.0]),
                 fixed=frozenset(),
-                potential=AlmostHarmonicPotential(almost_table),
+                potential=almost_table,
+            )
+
+    def test_sphere_kernel_off_the_sphere(self):
+        # unchecked, the first step's retraction would move the fixed particle
+        # from (0, 3, 0) to (0, 1, 0)
+        with pytest.raises(OffManifold, match="sign particle positions"):
+            ParticleSystem(
+                positions=[[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]],
+                charges=[1.0, -1.0],
+                fixed={1},
+                potential=SignPotential(),
             )
 
 

@@ -310,13 +310,13 @@ class TestKnotLookup:
 
 
 class TestMonotoneCertificate:
-    """``nonincreasing``, the property exact init pruning rests on."""
+    """``radially_nonincreasing``, the property exact init pruning rests on."""
 
     @pytest.mark.parametrize("eps,lam", [(0.1, 1.0), (0.05, 1.0), (0.1, 0.0)])
     def test_built_tables_certified(self, eps, lam, almost_table, almost_table_fine):
         tables = {(0.1, 1.0): almost_table, (0.05, 1.0): almost_table_fine}
         tab = tables.get((eps, lam)) or build_almost_harmonic(3, eps, lam)
-        assert tab.nonincreasing
+        assert tab.radially_nonincreasing
         # the certificate's claim, on a fine grid across the seam and r_max
         assert np.all(np.diff(tab.value(np.linspace(0.0, 25.0, 200_001))) <= 0.0)
 
@@ -324,7 +324,7 @@ class TestMonotoneCertificate:
         # slopes 4x the secants keep every cubic's midpoint at the knots'
         # mean (the overshoot check passes) while the cubic rises inside
         tab = dataclasses.replace(almost_table, derivs=4.0 * almost_table.derivs)
-        assert not tab.nonincreasing
+        assert not tab.radially_nonincreasing
         assert np.any(np.diff(tab.value(np.linspace(0.0, 10.0, 100_001))) > 0.0)
 
     def test_rising_knot_uncertified(self, almost_table):
@@ -332,7 +332,7 @@ class TestMonotoneCertificate:
         # the overshoot check: the raised knot's slope is kept)
         values = almost_table.values.copy()
         values[1] = values[0] * 1.01
-        assert not dataclasses.replace(almost_table, values=values).nonincreasing
+        assert not dataclasses.replace(almost_table, values=values).radially_nonincreasing
 
 
 class TestSerializationAndCache:

@@ -7,6 +7,7 @@ from chargeflow.errors import (
     OffManifold,
     SingularDiagonal,
 )
+from chargeflow.harmonic import TabulatedPotential, lambda_harmonic_poly
 from chargeflow.loss import (
     Hypothesis,
     NodeObjective,
@@ -18,9 +19,7 @@ from chargeflow.loss import (
     theta_laplacian,
 )
 from chargeflow.potentials import (
-    AlmostHarmonicPotential,
     CoulombPotential,
-    ExpLambdaHarmonicPotential,
     GaussianPotential,
     HermiteDualPotential,
     LogPotential,
@@ -121,7 +120,7 @@ class TestLossValue:
             Objective(parse_potential("poly:l=3"), TargetNetwork(w=[[0.6, 0.8, 0.1]], b=[1.0]))
 
     def test_singular_kernel_collision(self):
-        pot = ExpLambdaHarmonicPotential(1.0, 3)
+        pot = lambda_harmonic_poly(3, 1.0)
         w = np.array([[1.0, 0.0, 0.0]])
         obj = Objective(pot, TargetNetwork(w=w, b=[1.0]))
         with pytest.raises(SingularDiagonal):
@@ -138,7 +137,7 @@ class TestGradient:
     @pytest.mark.parametrize("reg", ["none", "charge"])
     def test_finite_difference_agreement(self, reg, almost_table):
         rng = np.random.default_rng(4)
-        pots = [GaussianPotential(0.8), AlmostHarmonicPotential(almost_table)]
+        pots = [GaussianPotential(0.8), almost_table]
         for pot in pots:
             tgt = TargetNetwork(w=rng.standard_normal((3, 3)) * 2, b=rng.uniform(-1, 1, 3))
             obj = Objective(pot, tgt, regularization=reg)
@@ -280,6 +279,25 @@ class TestNodeObjective:
         smooth = NodeObjective(Objective(GaussianPotential(1.0), TargetNetwork(w=w, b=[1.0])))
         val, g = smooth.value_and_grad(x)
         assert val == 0.25 and np.all(g[1:] == 0.0)
+
+    def test_tabulated_kernel_reaches_patched_lookups(self, almost_table, monkeypatch):
+        # tracers replace these two methods on the class; the kernel's phi and
+        # phi_and_dphi must call the replacements, not keep the originals
+        calls = []
+        for attr in ("value", "value_and_deriv"):
+
+            def counted(self, r, _original=getattr(TabulatedPotential, attr), _attr=attr):
+                calls.append(_attr)
+                return _original(self, r)
+
+            monkeypatch.setattr(TabulatedPotential, attr, counted)
+        obj = Objective(almost_table, TargetNetwork(w=[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], b=[0.7, -0.4]))
+        calls.clear()  # the fixed-fixed block built with the objective
+        obj.cross_block(np.array([[0.5, 0.5, 0.0], [-1.0, 0.0, 1.0]]))
+        assert calls == ["value"]
+        calls.clear()
+        NodeObjective(obj).value_and_grad(np.array([0.3, 0.5, 0.5, 0.0]))
+        assert calls == ["value_and_deriv"]
 
 
 class TestOptimalOuterWeight:
@@ -440,7 +458,7 @@ class TestThetaLaplacian:
         rng = np.random.default_rng(15)
         pts = separated_points(rng, 3, 3, scale=2.0, min_sep=0.8)
         tgt = TargetNetwork(w=pts[1:], b=rng.uniform(-1, 1, 2))
-        obj = Objective(ExpLambdaHarmonicPotential(1.0, 3), tgt)
+        obj = Objective(lambda_harmonic_poly(3, 1.0), tgt)
         a = rng.uniform(0.5, 1.0)
         hyp = Hypothesis(theta=pts[:1], a=[a])
         cross_sum = 2.0 * a * float((obj.cross_block(pts[0]) @ tgt.b)[0])
@@ -457,7 +475,7 @@ class TestEigIdentity:
         for _ in range(10):
             pts = separated_points(rng, 6, 3, scale=2.0, min_sep=0.8)
             tgt = TargetNetwork(w=pts[3:], b=rng.uniform(-1, 1, 3))
-            obj = Objective(ExpLambdaHarmonicPotential(lam, 3), tgt)
+            obj = Objective(lambda_harmonic_poly(3, lam), tgt)
             theta = pts[:3]
             a = obj.solve_optimal_a(theta)
 

@@ -12,12 +12,10 @@ from chargeflow.errors import (
     SingularDiagonal,
     UnsupportedDimension,
 )
-from chargeflow.harmonic import lambda_harmonic_poly
+from chargeflow.harmonic import LambdaHarmonicRadial, lambda_harmonic_poly
 from chargeflow.potentials import (
-    AlmostHarmonicPotential,
     BesselK0Activation,
     BesselK1RadialActivation,
-    ExpLambdaHarmonicPotential,
     GaussianActivation,
     GaussianPotential,
     HermiteActivation,
@@ -68,7 +66,7 @@ class TestEvalPotential:
         assert val == pytest.approx(0.60653, abs=5e-6)
 
     def test_raw_eigenfunction_diagonal_raises(self):
-        pot = ExpLambdaHarmonicPotential(1.0, 3)
+        pot = lambda_harmonic_poly(3, 1.0)
         th = np.array([1.0, 2.0, 3.0])
         with pytest.raises(SingularDiagonal):
             eval_potential(pot, th, th)
@@ -86,8 +84,8 @@ class TestEvalPotential:
         rng = np.random.default_rng(12)
         kinds = [
             GaussianPotential(0.7),
-            ExpLambdaHarmonicPotential(1.0, 3),
-            AlmostHarmonicPotential(almost_table),
+            lambda_harmonic_poly(3, 1.0),
+            almost_table,
             LaplaceExpPotential(1.0),
         ]
         for pot in kinds:
@@ -239,7 +237,7 @@ class TestGramPositivity:
                 pot = {
                     "gauss": GaussianPotential(1.0),
                     "exp1d": LaplaceExpPotential(1.0),
-                    "almost": AlmostHarmonicPotential(almost_table),
+                    "almost": almost_table,
                 }[kind]
             gram = pot.pairwise(pts, pts)
             np.fill_diagonal(gram, 1.0)
@@ -468,7 +466,7 @@ class TestRegistry:
         [
             ("sign", SignPotential),
             ("gauss:c=2.0", GaussianPotential),
-            ("explh:lambda=1,d=3", ExpLambdaHarmonicPotential),
+            ("explh:lambda=1,d=3", LambdaHarmonicRadial),
             ("poly:l=3", PolynomialPotential),
             ("exp1d:lambda=1", LaplaceExpPotential),
         ],
@@ -486,13 +484,18 @@ class TestRegistry:
 
         monkeypatch.setattr(harmonic, "load_or_build_almost_harmonic", load)
         pot = parse_potential("almost:eps=0.1,lambda=1,d=3")
-        assert isinstance(pot, AlmostHarmonicPotential)
-        assert pot.table is almost_table
+        assert pot is almost_table
         assert calls == [(3, 0.1, 1.0)]
 
     def test_unknown(self):
         with pytest.raises(ValueError):
             parse_potential("mystery:x=1")
+
+    def test_kernels_compare_by_identity(self):
+        # as every kernel class does; field-wise equality would compare arrays
+        pots = [parse_potential(ident) for ident in README_KERNEL_IDS + ("explh:lambda=1,d=5",)]
+        assert len(set(pots)) == len(pots)
+        assert all(p == p and p != parse_potential(p.name) for p in pots)
 
     @pytest.mark.parametrize("ident", README_KERNEL_IDS)
     def test_name_is_an_id_of_the_same_kernel(self, ident):

@@ -12,11 +12,12 @@ sampling in node initialization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ChargeflowError, EigenSolveFailure, InitializationFailed
+from .errors import ChargeflowError, DivergedLoss, EigenSolveFailure, InitializationFailed
 from .loss import NodeObjective, Objective, fd_hessian
 from .potentials import pair_distances
 
@@ -154,13 +155,14 @@ def _descend(objective, x0, cfg: DescentConfig, second_order):
     the run stops at the PREVIOUS iterate as soon as an iteration fails to
     decrease the objective by ``cfg.min_decrease()``. A kernel kink or solver
     failure at a new iterate ends the run at the previous one, recorded on
-    the report instead of propagating."""
+    the report instead of propagating, and so does a non-finite value or
+    gradient there (as DivergedLoss)."""
     x = np.asarray(x0, dtype=float).copy()
     report = DescentReport()
     value, g = objective.value_and_grad(x)
+    gnorm = float(np.linalg.norm(g))
     threshold = cfg.min_decrease()
     for it in range(1, cfg.T + 1):
-        gnorm = float(np.linalg.norm(g))
         lam_min = float("nan")
         try:
             if not second_order or gnorm >= cfg.eta:
@@ -171,6 +173,12 @@ def _descend(objective, x0, cfg: DescentConfig, second_order):
                 x_new, lam_min = hessian_descent_step(objective, x, g, cfg)
             x_new = objective.project(x_new)
             new_value, g_new = objective.value_and_grad(x_new)
+            gnorm_new = float(np.linalg.norm(g_new))
+            # NaN passes every decrease test, so it would pass as progress
+            if not (math.isfinite(new_value) and math.isfinite(gnorm_new)):
+                raise DivergedLoss(
+                    f"non-finite value {new_value} or gradient norm {gnorm_new} at iteration {it}"
+                )
         except ChargeflowError as exc:
             report.termination = "error"
             report.error = str(exc)
@@ -191,7 +199,7 @@ def _descend(objective, x0, cfg: DescentConfig, second_order):
         if stop:
             report.termination = "early_stop"
             break
-        x, value, g = x_new, new_value, g_new
+        x, value, g, gnorm = x_new, new_value, g_new, gnorm_new
     report.final_x = x
     report.final_value = value
     return report
@@ -328,7 +336,9 @@ def _best_trial(obj: Objective, rng, radius, m, top):
 
     Only the kept rows are built and get kernel rows, written at their row
     positions into a zero block whose one matvec gives every kept row the
-    bits of the full chunk (a one-row block rounds differently). A pruned
+    bits of the full chunk. A one-row block rounds differently, and so does
+    a compact product over the kept rows alone on some OpenBLAS cores
+    (Sandybridge, Nehalem), so the zero block stays. A pruned
     row cannot beat a strictly negative change, so the optimum is taken
     over the kept rows only; when none of them decreases the loss the chunk
     cannot win and this returns None. Only the copied best point outlives

@@ -27,7 +27,8 @@ class NegativeCoefficient(ChargeflowError):
 
 
 class NonFiniteSample(ChargeflowError):
-    """A Monte-Carlo sample evaluated to inf/nan (activation overflow)."""
+    """A Monte-Carlo sample (activation overflow) or an input point is
+    inf/nan."""
 
 
 class GridTooCoarse(ChargeflowError):

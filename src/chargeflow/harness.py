@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .descent import DescentConfig, RandomBallInit, node_wise_descent
-from .errors import DivergedLoss
+from .errors import DimensionMismatch, DivergedLoss, NonFiniteSample
 from .loss import Objective, TargetNetwork
 from .potentials import min_separation, pair_distances, parse_potential
 
@@ -240,13 +240,66 @@ def rows_to_csv(rows):
 # ---------------------------------------------------------------------------
 
 
-def match_to_target(theta, a, target: TargetNetwork):
-    """Min-total-distance assignment of learned nodes to fixed ones."""
-    from scipy.optimize import linear_sum_assignment
+def min_cost_assignment(cost):
+    """Exact minimum-cost perfect matching of a square cost matrix: row i
+    goes to column perm[i]. Shortest augmenting paths with dual potentials
+    (Kuhn-Munkres in the Jonker-Volgenant form), one path per row, O(k^3).
 
+    A non-square matrix raises DimensionMismatch and a non-finite entry
+    NonFiniteSample: with either the path search need not end on an
+    optimum, or at all."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise DimensionMismatch(f"need a square cost matrix, got shape {cost.shape}")
+    if not np.all(np.isfinite(cost)):
+        raise NonFiniteSample("cost matrix has non-finite entries")
+    k = cost.shape[0]
+    # column 0 is a virtual column that holds the row being inserted;
+    # owner[j] is the row (1-based, 0 for none) that column j holds
+    u = np.zeros(k + 1)
+    v = np.zeros(k + 1)
+    owner = np.zeros(k + 1, dtype=int)
+    for i in range(1, k + 1):
+        owner[0] = i
+        j0 = 0
+        slack = np.full(k + 1, np.inf)  # reduced cost of the best path to each column
+        prev = np.zeros(k + 1, dtype=int)  # the column before it on that path
+        used = np.zeros(k + 1, dtype=bool)
+        while owner[j0] != 0:
+            used[j0] = True
+            i0 = owner[j0]
+            free = ~used
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            better = free[1:] & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            prev[1:][better] = j0
+            j1 = int(np.argmin(np.where(free, slack, np.inf)))
+            delta = slack[j1]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[free] -= delta
+            j0 = j1
+        # flip the path: each column on it takes the row of the one before
+        while j0 != 0:
+            j1 = prev[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    perm = np.empty(k, dtype=int)
+    perm[owner[1:] - 1] = np.arange(k)
+    return perm
+
+
+def match_to_target(theta, a, target: TargetNetwork):
+    """Min-total-distance assignment of learned nodes to fixed ones: learned
+    node i matches fixed node perm[i]. Returns (perm, max position error,
+    max outer-weight error). Nodes of another count or dimension raise
+    DimensionMismatch, and a non-finite node NonFiniteSample."""
+    theta = np.atleast_2d(theta)
+    if theta.shape[1] != target.d:
+        raise DimensionMismatch(f"need learned nodes in d={target.d}, got shape {theta.shape}")
     dist = pair_distances(theta, target.w)
-    rows, perm = linear_sum_assignment(dist)
-    max_dist = float(np.max(dist[rows, perm]))
+    perm = min_cost_assignment(dist)
+    max_dist = float(np.max(dist[np.arange(len(perm)), perm]))
     max_charge = float(np.max(np.abs(a + target.b[perm])))
     return perm, max_dist, max_charge
 

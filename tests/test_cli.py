@@ -17,16 +17,24 @@ from conftest import README_KERNEL_IDS
 
 
 def test_import_loads_no_scipy():
+    # importing loads no scipy, and neither does a tiny recovery, which
+    # matches its nodes without scipy.optimize
     src = os.path.dirname(os.path.dirname(chargeflow.__file__))
-    code = (
-        "import sys, chargeflow, chargeflow.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    recovery = (
+        "chargeflow.cli.main(['recovery', '--k', '2', '--seeds', '0,', '--trials', '20000', "
+        "'--descent-T', '300']); "
     )
-    assert out.stdout.strip() == "[]"
+    for run in ("", recovery):
+        code = (
+            f"import sys, chargeflow, chargeflow.cli; {run}"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+            timeout=120,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestTable:

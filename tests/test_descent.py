@@ -172,6 +172,19 @@ def assert_matches_former_loop(objective, x0, cfg):
     return rep
 
 
+def nan_beyond_three(where):
+    """-x0 with gradient (-1, 0), so every step adds alpha to x0; from
+    x0 >= 3 on, the value (``where="value"``) or the gradient turns NaN."""
+
+    def f(x):
+        return float("nan") if where == "value" and x[0] >= 3.0 else -float(x[0])
+
+    def grad(x):
+        return np.array([float("nan") if where == "grad" and x[0] >= 3.0 else -1.0, 0.0])
+
+    return FunctionObjective(f, grad=grad)
+
+
 class TestOneLoop:
     """second_gd against the former loop on each way a run can end."""
 
@@ -184,6 +197,20 @@ class TestOneLoop:
         cfg = DescentConfig(T=50, alpha=0.2, eta=1e-6, gamma=1e-3)
         rep = assert_matches_former_loop(kinked_square(), np.array([1.0, 0.0]), cfg)
         assert rep.termination == "error"
+
+    @pytest.mark.parametrize("driver", [gd, second_gd])
+    @pytest.mark.parametrize("where", ["value", "grad"])
+    def test_non_finite_step_ends_in_error(self, driver, where):
+        # NaN passes every decrease test: both drivers used to run all T
+        # steps and end at final_value=nan
+        cfg = DescentConfig(T=200, alpha=0.5, eta=1e-3, gamma=1e-2)
+        rep = driver(nan_beyond_three(where), np.array([0.0, 0.0]), cfg)
+        assert rep.termination == "error"
+        assert rep.error.startswith("non-finite value") and "at iteration 6" in rep.error
+        assert rep.iterations == 5
+        np.testing.assert_array_equal(rep.final_x, [2.5, 0.0])
+        assert rep.final_value == -2.5
+        assert [r.value for r in rep.rows] == [-0.5, -1.0, -1.5, -2.0, -2.5]
 
     def test_early_stop_between_strides(self):
         rep = assert_matches_former_loop(*gaussian_two_branch_run(trace_stride=7))

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from chargeflow import harmonic
-from chargeflow.errors import DivergedLoss
+from chargeflow.errors import DimensionMismatch, DivergedLoss, NonFiniteSample
 from chargeflow.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -11,6 +13,7 @@ from chargeflow.harness import (
     generate_separated_target,
     generate_target,
     match_to_target,
+    min_cost_assignment,
     parse_config_file,
     recovery_experiment,
     rows_to_csv,
@@ -195,6 +198,79 @@ class TestMatching:
         assert perm.tolist() == truth.tolist()
         assert max_dist == pytest.approx(np.max(np.linalg.norm(theta - w[truth], axis=1)), abs=1e-12)
         assert max_charge == pytest.approx(np.max(np.abs(a + tgt.b[truth])), abs=1e-15)
+
+    def test_nan_node_rejected(self):
+        tgt = TargetNetwork(w=np.array([[10.0, 0, 0], [0.0, 10, 0], [0, 0, 10.0]]), b=[1.0, -0.5, 0.2])
+        theta = tgt.w.copy()
+        theta[1, 0] = np.nan
+        with pytest.raises(NonFiniteSample):
+            match_to_target(theta, -tgt.b, tgt)
+
+    def test_fewer_nodes_than_targets_rejected(self):
+        # a 2 x 3 distance matrix: no perfect matching
+        tgt = TargetNetwork(w=np.array([[10.0, 0, 0], [0.0, 10, 0], [0, 0, 10.0]]), b=[1.0, -0.5, 0.2])
+        with pytest.raises(DimensionMismatch, match="square"):
+            match_to_target(tgt.w[:2], -tgt.b[:2], tgt)
+
+    def test_nodes_of_another_dimension_rejected(self):
+        # d = 2 nodes used to match d = 3 targets on their first two coordinates
+        tgt = TargetNetwork(w=np.array([[10.0, 0, 0], [0.0, 10, 0]]), b=[1.0, -1.0])
+        for theta in (np.array([[0.0, 10.0], [10.0, 0.0]]), np.zeros((2, 4))):
+            with pytest.raises(DimensionMismatch, match="d=3"):
+                match_to_target(theta, -tgt.b, tgt)
+
+
+def assignment_cost(cost, perm):
+    return float(cost[np.arange(len(perm)), perm].sum())
+
+
+def assert_bijection(perm, k):
+    assert perm.shape == (k,)
+    assert sorted(perm.tolist()) == list(range(k))
+
+
+class TestMinCostAssignment:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_optimal_against_brute_force(self, k):
+        rng = np.random.default_rng(100 + k)
+        perms = np.array(list(itertools.permutations(range(k))))
+        rows = np.arange(k)
+        # continuous costs, and small integers where many assignments tie
+        cases = [rng.standard_normal((k, k)) for _ in range(20)]
+        cases += [rng.integers(0, 3, (k, k)).astype(float) for _ in range(20)]
+        cases += [np.zeros((k, k)), np.ones((k, k))]
+        for cost in cases:
+            perm = min_cost_assignment(cost)
+            assert_bijection(perm, k)
+            best = float(cost[rows, perms].sum(axis=1).min())
+            assert assignment_cost(cost, perm) <= best + 1e-12
+
+    def test_agrees_with_scipy(self):
+        from scipy.optimize import linear_sum_assignment  # the test-only oracle
+
+        rng = np.random.default_rng(7)
+        for k in (1, 2, 3, 5, 8, 12, 20, 30, 40):
+            for cost in (rng.standard_normal((k, k)), rng.uniform(0.0, 50.0, (k, k)),
+                         rng.integers(0, 4, (k, k)).astype(float)):
+                perm = min_cost_assignment(cost)
+                assert_bijection(perm, k)
+                _, want = linear_sum_assignment(cost)
+                assert assignment_cost(cost, perm) == pytest.approx(
+                    assignment_cost(cost, want), rel=0, abs=1e-9
+                )
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch, match="square"):
+            min_cost_assignment(np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatch, match="square"):
+            min_cost_assignment(np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        cost = np.eye(3)
+        cost[1, 2] = bad
+        with pytest.raises(NonFiniteSample):
+            min_cost_assignment(cost)
 
 
 class TestWriteJsonl:

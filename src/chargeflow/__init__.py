@@ -16,7 +16,6 @@ from .descent import (
 )
 from .dynamics import (
     ParticleSystem,
-    gradient_flow_field,
     run_trajectory,
     step,
     system_from_objective,
@@ -26,9 +25,7 @@ from .harmonic import (
     LambdaHarmonicRadial,
     TabulatedPotential,
     build_almost_harmonic,
-    lambda_harmonic_poly,
     load_or_build_almost_harmonic,
-    radial_laplacian,
 )
 from .harness import (
     ExperimentConfig,
@@ -55,7 +52,6 @@ from .loss import (
     Objective,
     TargetNetwork,
     VectorObjective,
-    fd_gradient,
     fd_hessian,
     theta_laplacian,
 )
@@ -77,7 +73,6 @@ from .potentials import (
     activation_from_potential_taylor,
     dual_from_hermite,
     empirical_dual,
-    eval_potential,
     parse_potential,
     realizability_certificate_radial,
 )

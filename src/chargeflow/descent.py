@@ -11,8 +11,11 @@ sampling in node initialization.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -275,6 +278,24 @@ _PREFIX = 4096
 _SLACK = 1e-9
 # candidate pruning radii, as fractions of the farthest reachable separation
 _RADIUS_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 4096)])
+# glibc's mallopt parameter number for the mmap threshold (malloc.h)
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _pin_mmap_threshold():
+    """Fix glibc's mmap threshold at its 128 KiB default. Left dynamic,
+    glibc raises it to the size of the first large block freed, so the
+    arrays of later chunks land in the heap, where their varying sizes
+    fragment it and the peak memory of one recovery depends on the
+    process's memory layout (85, 96 or more MB for the same run). Pinned,
+    every array of 128 KiB or more is mapped when allocated and unmapped
+    when freed, so the peak is that of the live arrays alone, at the cost
+    of faulting in fresh pages for every chunk. A no-op off glibc."""
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt(_M_MMAP_THRESHOLD, 128 << 10)
 
 
 def _ball_points(z, u, radius):
@@ -380,6 +401,7 @@ def initialize_node(obj: Objective, policy: RandomBallInit, seed=0):
     against a = 0 (negative when the initialization strictly improves).
     Raises InitializationFailed when no strict improvement is found.
     """
+    _pin_mmap_threshold()
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     best = (None, None, np.inf)
     top = None

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CollisionSingularity, NonDifferentiablePoint
+from .errors import CollisionSingularity, NonDifferentiablePoint, NonFiniteSample
 from .loss import Hypothesis, Objective
 
 SCHEMA_VERSION = 1
@@ -39,6 +39,8 @@ class ParticleSystem:
         object.__setattr__(self, "fixed", frozenset(int(i) for i in self.fixed))
         if self.positions.shape[0] != self.charges.shape[0]:
             raise ValueError("one charge per particle required")
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.charges).all()):
+            raise NonFiniteSample("particle positions and charges must be finite")
         self.potential.check_points(self.positions, "particle positions")
 
     @property
@@ -78,13 +80,6 @@ def step(sys: ParticleSystem, dt, scheme="rk4"):
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return replace(sys, positions=sys.potential.retract(new), time=sys.time + dt)
-
-
-def gradient_flow_field(obj: Objective, hyp: Hypothesis):
-    """Per-node field -grad_theta(L/2); identical to the particle velocities
-    of the system with mobile charges a at theta and fixed charges b at w."""
-    _, gt = obj.grad(hyp)
-    return -0.5 * gt
 
 
 def system_from_objective(obj: Objective, hyp: Hypothesis):

@@ -27,8 +27,8 @@ class NegativeCoefficient(ChargeflowError):
 
 
 class NonFiniteSample(ChargeflowError):
-    """A Monte-Carlo sample (activation overflow) or an input point is
-    inf/nan."""
+    """A Monte-Carlo sample (activation overflow), an input point, a weight
+    or a charge is inf/nan."""
 
 
 class GridTooCoarse(ChargeflowError):
@@ -41,10 +41,6 @@ class UnsupportedDimension(ChargeflowError):
 
 class EvenDimension(ChargeflowError):
     """Radial eigenfunction recurrence requires odd dimension."""
-
-
-class TooCloseToOrigin(ChargeflowError):
-    """Finite-difference stencil would cross r = 0."""
 
 
 class QuadratureNotConverged(ChargeflowError):

@@ -25,7 +25,6 @@ from .errors import (
     EvenDimension,
     GridTooCoarse,
     QuadratureNotConverged,
-    TooCloseToOrigin,
     UnsupportedDimension,
 )
 from .potentials import _EXP_UNDERFLOW, Potential
@@ -103,28 +102,38 @@ def _simpson_doubling(f, a, b, tol, n0, max_doublings):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class LambdaHarmonicRadial(Potential):
     """phi(r) = p(r) exp(-sqrt(lam) r) / r^(d-2) with laplacian(phi) = lam*phi for r > 0.
 
-    As a kernel (``explh``) it is singular on the diagonal; ``finite_diagonal``
-    still holds, so the quadratic loss takes its self-terms as 1.0, the
-    normalized limit of the bounded tabulated variant.
+    The polynomial factor p, of degree (d-3)/2, comes from the coefficient
+    recurrence a_{i+1} (i+1)(i - (d-3)) = a_i sqrt(lam) (2i - (d-3)), a_0 = 1;
+    ``coeffs`` holds it in ascending order. As a kernel (``explh``) it is
+    singular on the diagonal; ``finite_diagonal`` still holds, so the
+    quadratic loss takes its self-terms as 1.0, the normalized limit of the
+    bounded tabulated variant.
     """
 
     raw_singular = True
 
-    d: int
-    lam: float
-    coeffs: np.ndarray  # ascending, coeffs[0] == 1, length (d-3)/2 + 1
-
-    @property
-    def name(self):
-        return f"explh:lambda={self.lam:g},d={self.d}"
-
-    @property
-    def s(self):
-        return float(np.sqrt(self.lam))
+    def __init__(self, d=3, lam=1.0):
+        if d != int(d):
+            raise ValueError(f"d must be an integer, got {d}")
+        if d % 2 == 0:
+            raise EvenDimension(f"odd dimension required, got d={d}")
+        if d < 3:
+            raise UnsupportedDimension(f"d >= 3 required, got d={d}")
+        if not 0 <= lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+        self.d = int(d)
+        self.lam = float(lam)
+        self.s = float(np.sqrt(lam))
+        self.name = f"explh:lambda={self.lam:g},d={self.d}"
+        n = self.d - 3
+        a = np.zeros(n // 2 + 1)
+        a[0] = 1.0
+        for i in range(n // 2):
+            a[i + 1] = a[i] * self.s * (2 * i - n) / ((i + 1) * (i - n))
+        self.coeffs = a
 
     def _capped(self, r):
         """(r capped where exp(-s r) becomes 0, exp(-s r)), for lam > 0. The
@@ -157,59 +166,10 @@ class LambdaHarmonicRadial(Potential):
 
     def nth_deriv_poly(self, n):
         """Coefficients q_n with phi^(n)(r) = (-1)^n q_n(r) e^{-s r} / r^{d-2+n}."""
-        q = np.asarray(self.coeffs, dtype=float)
+        q = self.coeffs
         for j in range(n):
             q = _shift_poly(q, self.d - 2 + j, self.s)
         return q
-
-    def ode_residual_coeffs(self):
-        """Coefficients of r p'' - (d-3 + 2 s r) p' + s (d-3) p; zero iff eigenrelation holds."""
-        p = np.asarray(self.coeffs, dtype=float)
-        dp = np.polynomial.polynomial.polyder(p)
-        ddp = np.polynomial.polynomial.polyder(p, 2)
-        n = len(p) + 1
-        res = np.zeros(n)
-        res[1 : 1 + len(ddp)] += ddp  # r * p''
-        res[: len(dp)] -= (self.d - 3) * dp
-        res[1 : 1 + len(dp)] -= 2.0 * self.s * dp  # 2 s r p'
-        res[: len(p)] += self.s * (self.d - 3) * p
-        return res
-
-
-def lambda_harmonic_poly(d, lam):
-    """Build the degree-(d-3)/2 polynomial factor by the coefficient recurrence.
-
-    a_{i+1} (i+1)(i - (d-3)) = a_i sqrt(lam) (2i - (d-3)), a_0 = 1.
-    """
-    if d % 2 == 0:
-        raise EvenDimension(f"odd dimension required, got d={d}")
-    if d < 3:
-        raise UnsupportedDimension(f"d >= 3 required, got d={d}")
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    s = float(np.sqrt(lam))
-    k = (d - 3) // 2
-    a = np.zeros(k + 1)
-    a[0] = 1.0
-    for i in range(k):
-        a[i + 1] = a[i] * s * (2 * i - (d - 3)) / ((i + 1) * (i - (d - 3)))
-    return LambdaHarmonicRadial(d=d, lam=float(lam), coeffs=a)
-
-
-def radial_laplacian(f, r, d, h):
-    """Central-difference estimate of f''(r) + (d-1)/r * f'(r), error O(h^2).
-
-    Plain arithmetic only, so ``f`` may return any numeric type supporting
-    +,-,*,/ (floats, mpmath.mpf, ...).
-    """
-    if r <= 2 * h:
-        raise TooCloseToOrigin(f"need r > 2h, got r={r}, h={h}")
-    fp = f(r + h)
-    fm = f(r - h)
-    f0 = f(r)
-    second = (fp - 2 * f0 + fm) / (h * h)
-    first = (fp - fm) / (2 * h)
-    return second + (d - 1) * first / r
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +263,7 @@ class TabulatedPotential(Potential):
         # derived lookup state, kept out of the dataclass fields
         self._x = x
         self._c = coeffs
-        self._tail = lambda_harmonic_poly(self.d, self.lam)
+        self._tail = LambdaHarmonicRadial(self.d, self.lam)
         # Fritsch-Carlson on every log-log cubic, times the secant slope s
         # so a flat interval needs no case: alpha = m0 / s and beta = m1 / s
         # non-negative with alpha^2 + beta^2 <= 9
@@ -414,7 +374,7 @@ def build_almost_harmonic(d, eps, lam=1.0):
         )
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    radial = lambda_harmonic_poly(d, lam)
+    radial = LambdaHarmonicRadial(d, lam)
     s = radial.s
     q_weight = radial.nth_deriv_poly(d + 1)  # phi^(d+1) = q e^{-sr}/r^{2d-1}, positive
 

@@ -21,7 +21,7 @@ from .errors import (
     NotACriticalPoint,
     TooCloseToSingularity,
 )
-from .harmonic import lambda_harmonic_poly
+from .harmonic import LambdaHarmonicRadial
 from .loss import Hypothesis, Objective, TargetNetwork, theta_laplacian
 from .potentials import (
     CoulombPotential,
@@ -109,7 +109,7 @@ def eigstrict_laplacian_check(lam, target: TargetNetwork, theta, tol=1e-3, h=1e-
         raise DegenerateCluster("coincident mobile nodes")
     if min_separation(theta, target.w) < _R_MIN:
         raise TooCloseToSingularity("mobile node too close to a fixed charge")
-    pot = lambda_harmonic_poly(target.d, lam)
+    pot = LambdaHarmonicRadial(target.d, lam)
     obj = Objective(pot, target)
     a = obj.solve_optimal_a(theta)
     predicted = -2.0 * lam * float(a[0]) ** 2

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonDifferentiablePoint, SingularDiagonal
+from .errors import DimensionMismatch, NonDifferentiablePoint, NonFiniteSample, SingularDiagonal
 from .potentials import _COLLISION_GUARD, SPHERE, Potential
 
 
@@ -60,6 +60,8 @@ class Hypothesis:
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float).ravel())
         if self.theta.shape[0] != self.a.shape[0] or self.theta.shape[0] < 1:
             raise DimensionMismatch("need one outer weight per hidden vector")
+        if not (np.isfinite(self.theta).all() and np.isfinite(self.a).all()):
+            raise NonFiniteSample("hypothesis weights must be finite")
 
     @property
     def k(self):
@@ -207,9 +209,12 @@ class VectorObjective:
     """Flat-vector adapter over (a, theta) used by the descent algorithms.
 
     Packing: x = [a_1..a_k, theta_11..theta_1d, ..., theta_kd]. ``hess``
-    takes central differences of the ``value_and_grad`` gradient;
-    ``project`` retracts the hidden vectors with ``Potential.retract`` and is
-    the identity off the sphere.
+    takes central differences of the ``value_and_grad`` gradient; on the
+    sphere it returns P H P + c (I - P), with P the identity on the a's and
+    I - theta_i theta_i^T on each node and c = |H|_F + 1 above every tangent
+    eigenvalue, so its smallest eigenpair is the Riemannian Hessian's, on
+    the tangent space. ``project`` retracts the hidden vectors with
+    ``Potential.retract`` and is the identity off the sphere.
     """
 
     objective: Objective
@@ -231,7 +236,14 @@ class VectorObjective:
         return val, np.concatenate([ga, gt.ravel()])
 
     def hess(self, x, h=1e-4):
-        return fd_hessian(lambda z: self.value_and_grad(z)[1], x, h)
+        hess = fd_hessian(lambda z: self.value_and_grad(z)[1], x, h)
+        if self.objective.potential.manifold != SPHERE:
+            return hess
+        p = np.eye(self.dim)
+        for i, theta in enumerate(np.reshape(x[self.k :], (self.k, self.d))):
+            node = slice(self.k + i * self.d, self.k + (i + 1) * self.d)
+            p[node, node] -= np.outer(theta, theta)
+        return p @ hess @ p + (np.linalg.norm(hess) + 1.0) * (np.eye(self.dim) - p)
 
     def project(self, x):
         if self.objective.potential.manifold != SPHERE:
@@ -275,24 +287,12 @@ class NodeObjective(VectorObjective):
         return val, np.concatenate([[ga], gt])
 
 
-def fd_gradient(f, x, h=None):
-    """Central-difference gradient; h defaults to 1e-5 * max(1, |x|)."""
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-5 * max(1.0, float(np.linalg.norm(x)))
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
-
-
 def fd_hessian(grad, x, h=1e-4):
     """Hessian from central differences of the analytic gradient,
     J[i] = (grad(x + h e_i) - grad(x - h e_i)) / 2h, symmetrized as
-    (J + J^T)/2. With tangent-projected sphere gradients this is the
-    Riemannian Hessian on tangent directions."""
+    (J + J^T)/2. With tangent-projected sphere gradients its quadratic form
+    is the Riemannian Hessian's on tangent vectors only; normal directions
+    still enter its eigenpairs (``VectorObjective.hess`` projects them out)."""
     x = np.asarray(x, dtype=float)
     jac = np.array([grad(x + e) - grad(x - e) for e in np.eye(x.size) * h]) / (2.0 * h)
     return 0.5 * (jac + jac.T)

@@ -460,37 +460,11 @@ def min_separation(x, y=None):
     return float(np.min(dist))
 
 
-# ---------------------------------------------------------------------------
-# kernel evaluation with contract checks
-# ---------------------------------------------------------------------------
-
-
 def check_unit_rows(x, what):
     """Raise OffManifold unless every row of x has unit norm (to 1e-12)."""
     norms = np.linalg.norm(np.atleast_2d(x), axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise OffManifold(f"{what} must have unit norm, got |v| = {norms.tolist()}")
-
-
-def eval_potential(pot, theta, w):
-    """Normalized kernel value with manifold checks: one ``phi`` call on the
-    pair argument, computed here without the pair core (tests use this path
-    as its oracle).
-
-    Kernels with a singular diagonal (the raw eigenfunction form, Coulomb,
-    log) refuse zero separation; every other Euclidean kernel has phi(0) = 1.
-    """
-    theta = np.asarray(theta, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if theta.shape != w.shape or theta.ndim != 1:
-        raise DimensionMismatch(f"shapes {theta.shape} vs {w.shape}")
-    pot.check_points(np.stack([theta, w]), "kernel points")
-    if pot.manifold == SPHERE:
-        return float(pot.phi(float(np.dot(theta, w))))
-    r = float(np.linalg.norm(theta - w))
-    if pot.raw_singular and r < _COLLISION_GUARD:
-        raise SingularDiagonal(f"{pot.name} diverges at zero separation")
-    return float(pot.phi(r))
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +601,15 @@ def parse_potential(identifier):
     non-integer ``d`` or ``l`` and an out-of-range value raise ValueError
     naming the key.
     """
-    # harmonic imports this module, so its builders are imported on use
-    from .harmonic import lambda_harmonic_poly, load_or_build_almost_harmonic
+    # harmonic imports this module, so its kernels are imported on use
+    from .harmonic import LambdaHarmonicRadial, load_or_build_almost_harmonic
 
     # id kind -> (builder, {id key: builder argument}); every default lives in
     # the builder, and "d" and "l" take integers
     kinds = {
         "sign": (SignPotential, {}),
         "gauss": (GaussianPotential, {"c": "c"}),
-        "explh": (lambda lam=1.0, d=3: lambda_harmonic_poly(d, lam), {"lambda": "lam", "d": "d"}),
+        "explh": (LambdaHarmonicRadial, {"lambda": "lam", "d": "d"}),
         "poly": (PolynomialPotential, {"l": "l"}),
         "almost": (
             lambda eps=0.1, lam=1.0, d=3: load_or_build_almost_harmonic(d, eps, lam),

@@ -11,8 +11,8 @@ import mpmath as mp
 import numpy as np
 
 from chargeflow.descent import DescentConfig, hessian_descent_step
-from chargeflow.dynamics import gradient_flow_field, system_from_objective, velocity_field
-from chargeflow.harmonic import lambda_harmonic_poly, radial_laplacian
+from chargeflow.dynamics import system_from_objective, velocity_field
+from chargeflow.harmonic import LambdaHarmonicRadial
 from chargeflow.harness import ExperimentConfig, generate_target, recovery_experiment, run_table, sgd_train
 from chargeflow.landscape import earnshaw_trace_check, eigstrict_laplacian_check, sign_circle_scan
 from chargeflow.loss import Hypothesis, Objective, TargetNetwork
@@ -26,10 +26,9 @@ from chargeflow.potentials import (
     SignActivation,
     SignPotential,
     empirical_dual,
-    eval_potential,
 )
 
-from conftest import separated_points
+from conftest import eval_potential, gradient_flow_field, radial_laplacian, separated_points
 
 
 def report(number, name, passed, detail=""):
@@ -94,7 +93,7 @@ def test_02_eigenrelation_raw():
     mp.mp.dps = 40
     worst = 0.0
     for d, lam in [(3, 1.0), (3, 4.0), (7, 1.0), (7, 4.0), (11, 1.0)]:
-        pot = lambda_harmonic_poly(d, lam)
+        pot = LambdaHarmonicRadial(d, lam)
         coeffs = [mp.mpf(float(c)) for c in pot.coeffs]
         s = mp.sqrt(mp.mpf(lam))
 

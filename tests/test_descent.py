@@ -212,6 +212,23 @@ class TestOneLoop:
         assert rep.final_value == -2.5
         assert [r.value for r in rep.rows] == [-0.5, -1.0, -1.5, -2.0, -2.5]
 
+    @pytest.mark.parametrize("driver", [gd, second_gd])
+    def test_step_to_non_finite_weights_ends_in_error(self, driver):
+        # at a = 1e154 the value is about 1e308 and the step alpha * g
+        # leaves the float range, so the next iterate is [-inf, inf, 0, 0],
+        # where the loss was NaN (-inf * phi(inf) = -inf * 0); the weights
+        # there are refused as a Hypothesis. The gradient norm at x0
+        # overflows to inf, which takes the gradient step.
+        obj = Objective(GaussianPotential(1.0), TargetNetwork(w=np.zeros((1, 3)), b=[1.0]))
+        vec = VectorObjective(obj, 1, 3)
+        x0 = np.array([1e154, 1.0, 0.0, 0.0])
+        with np.errstate(over="ignore"):
+            rep = driver(vec, x0, DescentConfig(T=10, alpha=1e154))
+        assert rep.termination == "error" and "must be finite" in rep.error
+        assert rep.iterations == 0 and rep.rows == []
+        np.testing.assert_array_equal(rep.final_x, x0)
+        assert rep.final_value == vec.value_and_grad(x0)[0] < np.inf
+
     def test_early_stop_between_strides(self):
         rep = assert_matches_former_loop(*gaussian_two_branch_run(trace_stride=7))
         assert rep.termination == "early_stop" and rep.iterations % 7 != 0

@@ -5,13 +5,12 @@ import pytest
 
 from chargeflow.dynamics import (
     ParticleSystem,
-    gradient_flow_field,
     run_trajectory,
     step,
     system_from_objective,
     velocity_field,
 )
-from chargeflow.errors import CollisionSingularity, DimensionMismatch, OffManifold
+from chargeflow.errors import CollisionSingularity, DimensionMismatch, NonFiniteSample, OffManifold
 from chargeflow.harness import write_jsonl
 from chargeflow.loss import Hypothesis, Objective, TargetNetwork
 from chargeflow.potentials import (
@@ -19,6 +18,8 @@ from chargeflow.potentials import (
     PolynomialPotential,
     SignPotential,
 )
+
+from conftest import gradient_flow_field
 
 
 def gaussian_system(positions, charges, fixed=()):
@@ -78,6 +79,23 @@ class TestNetForce:
                 fixed={1},
                 potential=SignPotential(),
             )
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "positions,charges",
+        [([[0.0, np.nan], [1.0, 0.0]], [1.0, -1.0]), ([[0.0, 0.0], [1.0, 0.0]], [np.inf, -1.0])],
+    )
+    def test_system_refuses(self, positions, charges):
+        # before, velocity_field returned NaN rows for such a system
+        with pytest.raises(NonFiniteSample):
+            velocity_field(gaussian_system(positions, charges, fixed={1}))
+
+    def test_step_to_infinity_raises(self):
+        # one Euler step of size 1e308 at speed about 60 leaves the float range
+        sys_ = gaussian_system([[0.0, 0.0], [1.0, 0.0]], [10.0, -10.0], fixed={1})
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteSample):
+            step(sys_, 1e308, scheme="euler")
 
 
 class TestStep:

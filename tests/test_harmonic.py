@@ -9,55 +9,55 @@ import pytest
 from chargeflow.errors import (
     EvenDimension,
     GridTooCoarse,
-    TooCloseToOrigin,
     UnsupportedDimension,
 )
 from chargeflow import harmonic
 from chargeflow.harmonic import (
+    LambdaHarmonicRadial,
     TabulatedPotential,
     build_almost_harmonic,
     cache_key,
-    lambda_harmonic_poly,
     load_or_build_almost_harmonic,
-    radial_laplacian,
 )
+
+from conftest import ode_residual_coeffs, radial_laplacian
 
 
 class TestRecurrence:
     def test_d3_is_constant(self):
-        pot = lambda_harmonic_poly(3, 1.0)
+        pot = LambdaHarmonicRadial(3, 1.0)
         np.testing.assert_array_equal(pot.coeffs, [1.0])
         r = np.linspace(0.2, 4, 10)
         np.testing.assert_allclose(pot.phi(r), np.exp(-r) / r)
 
     def test_d7_lam1(self):
-        pot = lambda_harmonic_poly(7, 1.0)
+        pot = LambdaHarmonicRadial(7, 1.0)
         np.testing.assert_allclose(pot.coeffs, [1.0, 1.0, 1.0 / 3.0])
 
     def test_d7_lam4(self):
-        pot = lambda_harmonic_poly(7, 4.0)
+        pot = LambdaHarmonicRadial(7, 4.0)
         np.testing.assert_allclose(pot.coeffs, [1.0, 2.0, 4.0 / 3.0])
 
     @pytest.mark.parametrize("d,lam", [(3, 1.0), (5, 2.0), (7, 1.0), (7, 4.0), (11, 1.0), (15, 0.5)])
     def test_ode_residual_vanishes(self, d, lam):
-        pot = lambda_harmonic_poly(d, lam)
-        np.testing.assert_allclose(pot.ode_residual_coeffs(), 0.0, atol=1e-12)
+        pot = LambdaHarmonicRadial(d, lam)
+        np.testing.assert_allclose(ode_residual_coeffs(pot), 0.0, atol=1e-12)
 
     def test_coefficients_positive_and_ratio_bounded(self):
-        pot = lambda_harmonic_poly(11, 2.0)
+        pot = LambdaHarmonicRadial(11, 2.0)
         c = pot.coeffs
         assert np.all(c > 0)
         assert np.all(c[1:] <= np.sqrt(2.0) * c[:-1] + 1e-15)
 
     def test_even_dimension_rejected(self):
         with pytest.raises(EvenDimension):
-            lambda_harmonic_poly(4, 1.0)
+            LambdaHarmonicRadial(4, 1.0)
 
     def test_derivative_matches_fd(self):
         r = np.linspace(0.3, 5, 20)
         h = 1e-6
         for lam in (2.0, 0.0):  # lam = 0: the harmonic r^-5, no exp cap
-            pot = lambda_harmonic_poly(7, lam)
+            pot = LambdaHarmonicRadial(7, lam)
             fd = (pot.phi(r + h) - pot.phi(r - h)) / (2 * h)
             np.testing.assert_allclose(pot.phi_and_deriv(r)[1], fd, rtol=1e-7)
 
@@ -77,7 +77,7 @@ class TestRadialLaplacian:
         assert val == pytest.approx(0.067668, abs=1e-5)
 
     def test_origin_guard(self):
-        with pytest.raises(TooCloseToOrigin):
+        with pytest.raises(ValueError, match="r > 2h"):
             radial_laplacian(lambda r: r, 0.1, 3, 0.06)
 
     def test_second_order_convergence(self):
@@ -213,7 +213,7 @@ def searchsorted_evaluate(tab, r, deriv):
     y = np.log(tab.values[1:])
     m = tab.r_grid[1:] * tab.derivs[1:] / tab.values[1:]
     c = TabulatedPotential._hermite_coeffs(x, y, m)
-    radial = lambda_harmonic_poly(tab.d, tab.lam)
+    radial = LambdaHarmonicRadial(tab.d, tab.lam)
     q1 = radial.nth_deriv_poly(1)
     r = np.asarray(r, dtype=float)
     val = np.empty_like(r)
@@ -284,13 +284,13 @@ class TestKnotLookup:
             for far in beyond:
                 assert tab.value_and_deriv(far) == (0.0, 0.0)
             for d in (3, 7, 11):
-                radial = lambda_harmonic_poly(d, 1.0)
+                radial = LambdaHarmonicRadial(d, 1.0)
                 assert np.isnan(radial.phi(np.nan))
                 for far in beyond:
                     assert radial.phi(far) == 0.0 and radial.phi_and_deriv(far) == (0.0, 0.0)
             for d in (3, 5, 7):
                 # lam = 0: the harmonic r^(2-d), no exp cap
-                radial = lambda_harmonic_poly(d, 0.0)
+                radial = LambdaHarmonicRadial(d, 0.0)
                 assert radial.phi(np.inf) == 0.0
                 val_inf, der_inf = radial.phi_and_deriv(np.inf)
                 assert val_inf == 0.0 and der_inf == 0.0 and np.signbit(der_inf)

@@ -17,7 +17,7 @@ from chargeflow.landscape import (
 from chargeflow.loss import Hypothesis, TargetNetwork
 from chargeflow.potentials import CoulombPotential, GaussianPotential, LogPotential
 
-from conftest import separated_points
+from conftest import radial_laplacian, separated_points
 
 
 def config(rng, k, d, scale=3.0, min_sep=1.0):
@@ -140,8 +140,6 @@ class TestSubharmonic:
 
     def test_matches_fd_laplacian_of_kernel(self):
         # central-difference radial Laplacian of e^{-c r^2/2} agrees
-        from chargeflow.harmonic import radial_laplacian
-
         c, d = 1.5, 3
         phi = lambda r: np.exp(-c * r * r / 2.0)
         for r in (0.5, 1.0, 2.0):

@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 
+from chargeflow.descent import min_eigpair
 from chargeflow.errors import (
     DimensionMismatch,
     NonDifferentiablePoint,
+    NonFiniteSample,
     OffManifold,
     SingularDiagonal,
 )
-from chargeflow.harmonic import TabulatedPotential, lambda_harmonic_poly
+from chargeflow.harmonic import LambdaHarmonicRadial, TabulatedPotential
+from chargeflow.landscape import poly_orthonormal_check
 from chargeflow.loss import (
     Hypothesis,
     NodeObjective,
     Objective,
     TargetNetwork,
     VectorObjective,
-    fd_gradient,
     fd_hessian,
     theta_laplacian,
 )
@@ -28,7 +30,7 @@ from chargeflow.potentials import (
     parse_potential,
 )
 
-from conftest import separated_points
+from conftest import fd_gradient, separated_points
 
 
 def packed_hessian(obj, hyp, h):
@@ -120,7 +122,7 @@ class TestLossValue:
             Objective(parse_potential("poly:l=3"), TargetNetwork(w=[[0.6, 0.8, 0.1]], b=[1.0]))
 
     def test_singular_kernel_collision(self):
-        pot = lambda_harmonic_poly(3, 1.0)
+        pot = LambdaHarmonicRadial(3, 1.0)
         w = np.array([[1.0, 0.0, 0.0]])
         obj = Objective(pot, TargetNetwork(w=w, b=[1.0]))
         with pytest.raises(SingularDiagonal):
@@ -435,6 +437,88 @@ class TestHessian:
             assert abs(v @ hess @ v - second) <= 1e-6 * max(1.0, abs(second))
 
 
+class TestSphereCurvature:
+    """On the sphere, ``VectorObjective.hess`` measures curvature on the
+    tangent space: the ambient finite-difference Hessian's smallest
+    eigenpair leans on the normal directions, which the retraction undoes."""
+
+    @staticmethod
+    def poly_point(rng, k=2, d=3):
+        pot = PolynomialPotential(3)
+        w = pot.retract(rng.standard_normal((k, d)))
+        obj = Objective(pot, TargetNetwork(w=w, b=rng.uniform(-1, 1, k)))
+        vec = VectorObjective(obj, k, d)
+        hyp = Hypothesis(theta=pot.retract(rng.standard_normal((k, d))), a=rng.uniform(-1, 1, k))
+        return vec, vec.pack(hyp)
+
+    def test_eigenvector_is_tangent_and_matches_second_difference(self):
+        # the second difference of the loss along the retracted eigenvector
+        # path; the sphere's metric projection is a second-order retraction,
+        # so it is the Riemannian Hessian's quadratic form at any point
+        rng = np.random.default_rng(70)
+        t = 1e-3
+        for _ in range(5):
+            vec, x = self.poly_point(rng)
+            lam, v = min_eigpair(vec.hess(x))
+            theta, vt = x[2:].reshape(2, 3), v[2:].reshape(2, 3)
+            assert np.max(np.abs(np.sum(theta * vt, axis=1))) <= 1e-12
+            f = [vec.value_and_grad(vec.project(x + s * v))[0] for s in (t, 0.0, -t)]
+            second = (f[0] - 2.0 * f[1] + f[2]) / t**2
+            assert lam == pytest.approx(second, rel=1e-5, abs=1e-6)
+            # the ambient eigenvalue is strictly lower (interlacing): the
+            # normal directions it included carry no loss change
+            ambient = np.linalg.eigvalsh(fd_hessian(lambda z: vec.value_and_grad(z)[1], x))[0]
+            assert ambient < lam - 1e-3
+
+    def test_orthonormal_witness_is_the_smallest_eigenvalue(self):
+        # theta = (e_0 + e_1)/sqrt(2) with equal charges there is a critical
+        # point; the tangent curvature is the witness -2 (l-2) l a^2 along
+        # e_0 - e_1, +6 S^2 along e_2 and 2 along a, so lambda_min is the witness
+        l, b = 3, np.array([0.9, 0.9, -0.4])
+        theta = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        verdict = poly_orthonormal_check(l, theta, b)
+        assert verdict.passed
+        predicted = verdict.measured["predicted"]
+        obj = Objective(PolynomialPotential(l), TargetNetwork(w=np.eye(3), b=b))
+        vec = VectorObjective(obj, 1, 3)
+        lam, v = min_eigpair(vec.hess(vec.pack(Hypothesis(theta=[theta], a=[verdict.measured["a"]]))))
+        assert lam == pytest.approx(predicted, rel=1e-6)
+        np.testing.assert_allclose(np.abs(v), [0.0, np.sqrt(0.5), np.sqrt(0.5), 0.0], atol=1e-6)
+
+    def test_euclidean_hessian_is_the_symmetrized_jacobian(self):
+        rng = np.random.default_rng(71)
+        obj = rand_objective(rng, k=2)
+        vec = VectorObjective(obj, 2, 3)
+        x = vec.pack(Hypothesis(theta=rng.standard_normal((2, 3)), a=rng.uniform(-1, 1, 2)))
+        want = fd_hessian(lambda z: vec.value_and_grad(z)[1], x)
+        np.testing.assert_array_equal(vec.hess(x), want)
+
+
+class TestNonFiniteInputs:
+    """A non-finite mobile weight raises NonFiniteSample instead of giving a
+    NaN loss."""
+
+    @staticmethod
+    def objective():
+        return Objective(GaussianPotential(1.0), TargetNetwork(w=[[1.0, 0.0, 0.0]], b=[1.0]))
+
+    @pytest.mark.parametrize(
+        "theta,a",
+        [([[np.nan, 0.0, 0.0]], [1.0]), ([[0.0, np.inf, 0.0]], [1.0]), ([[0.0, 0.0, 0.0]], [np.nan])],
+    )
+    def test_loss_and_loss_and_grad_refuse(self, theta, a):
+        obj = self.objective()
+        with pytest.raises(NonFiniteSample):
+            obj.loss(Hypothesis(theta=theta, a=a))
+        with pytest.raises(NonFiniteSample):
+            obj.loss_and_grad(Hypothesis(theta=theta, a=a))
+
+    def test_vector_objective_refuses(self):
+        vec = VectorObjective(self.objective(), 1, 3)
+        with pytest.raises(NonFiniteSample):
+            vec.value_and_grad(np.array([1.0, 0.0, np.nan, 0.0]))
+
+
 class TestThetaLaplacian:
     def test_coulomb_harmonic(self):
         rng = np.random.default_rng(14)
@@ -458,7 +542,7 @@ class TestThetaLaplacian:
         rng = np.random.default_rng(15)
         pts = separated_points(rng, 3, 3, scale=2.0, min_sep=0.8)
         tgt = TargetNetwork(w=pts[1:], b=rng.uniform(-1, 1, 2))
-        obj = Objective(lambda_harmonic_poly(3, 1.0), tgt)
+        obj = Objective(LambdaHarmonicRadial(3, 1.0), tgt)
         a = rng.uniform(0.5, 1.0)
         hyp = Hypothesis(theta=pts[:1], a=[a])
         cross_sum = 2.0 * a * float((obj.cross_block(pts[0]) @ tgt.b)[0])
@@ -475,7 +559,7 @@ class TestEigIdentity:
         for _ in range(10):
             pts = separated_points(rng, 6, 3, scale=2.0, min_sep=0.8)
             tgt = TargetNetwork(w=pts[3:], b=rng.uniform(-1, 1, 3))
-            obj = Objective(lambda_harmonic_poly(3, lam), tgt)
+            obj = Objective(LambdaHarmonicRadial(3, lam), tgt)
             theta = pts[:3]
             a = obj.solve_optimal_a(theta)
 

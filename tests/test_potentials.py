@@ -12,7 +12,7 @@ from chargeflow.errors import (
     SingularDiagonal,
     UnsupportedDimension,
 )
-from chargeflow.harmonic import LambdaHarmonicRadial, lambda_harmonic_poly
+from chargeflow.harmonic import LambdaHarmonicRadial
 from chargeflow.potentials import (
     BesselK0Activation,
     BesselK1RadialActivation,
@@ -27,7 +27,6 @@ from chargeflow.potentials import (
     activation_from_potential_taylor,
     dual_from_hermite,
     empirical_dual,
-    eval_potential,
     hermite_eval,
     min_separation,
     pair_distances,
@@ -35,7 +34,7 @@ from chargeflow.potentials import (
     realizability_certificate_radial,
 )
 
-from conftest import README_KERNEL_IDS, separated_points
+from conftest import README_KERNEL_IDS, eval_potential, separated_points
 
 
 def unit(v):
@@ -66,7 +65,7 @@ class TestEvalPotential:
         assert val == pytest.approx(0.60653, abs=5e-6)
 
     def test_raw_eigenfunction_diagonal_raises(self):
-        pot = lambda_harmonic_poly(3, 1.0)
+        pot = LambdaHarmonicRadial(3, 1.0)
         th = np.array([1.0, 2.0, 3.0])
         with pytest.raises(SingularDiagonal):
             eval_potential(pot, th, th)
@@ -84,7 +83,7 @@ class TestEvalPotential:
         rng = np.random.default_rng(12)
         kinds = [
             GaussianPotential(0.7),
-            lambda_harmonic_poly(3, 1.0),
+            LambdaHarmonicRadial(3, 1.0),
             almost_table,
             LaplaceExpPotential(1.0),
         ]
@@ -535,7 +534,8 @@ class TestRegistry:
             ("explh:lambda=inf,d=3", "lambda"),
             (lambda: GaussianPotential(np.inf), "c"),
             (lambda: LaplaceExpPotential(-1.0), "lambda"),
-            (lambda: lambda_harmonic_poly(3, np.nan), "lambda"),
+            (lambda: LambdaHarmonicRadial(3, np.nan), "lambda"),
+            (lambda: LambdaHarmonicRadial(3.5, 1.0), "d"),
         ],
     )
     def test_bad_parameter_names_the_key(self, build, key):

@@ -53,7 +53,6 @@ from .loss import (
     TargetNetwork,
     VectorObjective,
     fd_hessian,
-    theta_laplacian,
 )
 from .potentials import (
     Activation,

@@ -40,10 +40,15 @@ class DescentConfig:
     alpha_scale: str = "fixed"
 
     def __post_init__(self):
-        if self.T < 1 or not all(0 < x < np.inf for x in (self.alpha, self.eta, self.gamma)):
+        steps = (self.alpha, self.eta, self.gamma)
+        try:
+            finite = self.min_decrease() < np.inf
+        except OverflowError:  # alpha**2 past about 1.34e154
+            finite = False
+        if self.T < 1 or not finite or not all(0 < x < np.inf for x in steps):
             raise ValueError(
-                f"need T >= 1 and positive, finite alpha, eta, gamma; got T={self.T}, "
-                f"alpha={self.alpha}, eta={self.eta}, gamma={self.gamma}"
+                f"need T >= 1 and positive, finite alpha, eta, gamma and min_decrease(); "
+                f"got T={self.T}, alpha={self.alpha}, eta={self.eta}, gamma={self.gamma}"
             )
         if self.trace_stride < 1:
             raise ValueError(f"trace_stride must be >= 1, got {self.trace_stride}")
@@ -150,6 +155,7 @@ def min_eigpair(h):
     return float(vals[0]), vecs[:, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _descend(objective, x0, cfg: DescentConfig, second_order):
     """The one descent iteration, one ``value_and_grad`` call per iterate.
 
@@ -159,7 +165,7 @@ def _descend(objective, x0, cfg: DescentConfig, second_order):
     decrease the objective by ``cfg.min_decrease()``. A kernel kink or solver
     failure at a new iterate ends the run at the previous one, recorded on
     the report instead of propagating, and so does a non-finite value or
-    gradient there (as DivergedLoss)."""
+    gradient there (as DivergedLoss), overflow included, with no warning."""
     x = np.asarray(x0, dtype=float).copy()
     report = DescentReport()
     value, g = objective.value_and_grad(x)

@@ -63,9 +63,11 @@ def velocity_field(sys: ParticleSystem, positions=None):
     return field
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(sys: ParticleSystem, dt, scheme="rk4"):
     """Advance the system by dt with forward Euler or classical RK4; sphere
-    positions are retracted to unit norm after the step."""
+    positions are retracted to unit norm after the step. Overflow raises
+    NonFiniteSample, from the new system's own check, with no warning."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     x = sys.positions

@@ -1,9 +1,9 @@
 """Numerical verdicts for the landscape identities the convergence arguments
 reduce to.
 
-These are diagnostics, not proofs: each check samples a configuration,
-measures a trace/curvature quantity by finite differences, and compares it to
-the closed form the corresponding argument predicts. A verdict records the
+These are diagnostics, not proofs: each check samples a configuration, reads
+a trace/curvature off ``VectorObjective.hess`` (the Hessian descent uses),
+and compares it to the closed form the argument predicts. A verdict records the
 measured numbers, the tolerance, and whether failure was the expected outcome
 (control cases).
 """
@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import (
     DegenerateCluster,
+    DimensionMismatch,
     NotACriticalPoint,
     TooCloseToSingularity,
 )
 from .harmonic import LambdaHarmonicRadial
-from .loss import Hypothesis, Objective, TargetNetwork, theta_laplacian
+from .loss import Hypothesis, Objective, TargetNetwork, VectorObjective
 from .potentials import (
     CoulombPotential,
     LogPotential,
@@ -71,7 +72,17 @@ def _digest(**config):
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def earnshaw_trace_check(potential, target: TargetNetwork, hyp: Hypothesis, i, tol=1e-4, h=5e-4):
+def _theta_trace(obj: Objective, hyp: Hypothesis, i):
+    """Trace of node i's theta block of ``VectorObjective.hess``. Second differences
+    of the loss value would lose about 1e-9 to its constant fixed-fixed block."""
+    if not 0 <= i < hyp.k:
+        raise DimensionMismatch(f"node index {i} out of range")
+    vec = VectorObjective(obj, hyp.k, hyp.d)
+    node = slice(hyp.k + i * hyp.d, hyp.k + (i + 1) * hyp.d)
+    return float(np.trace(vec.hess(vec.pack(hyp))[node, node]))
+
+
+def earnshaw_trace_check(potential, target: TargetNetwork, hyp: Hypothesis, i, tol=1e-4):
     """Trace of the theta_i Hessian block; vanishes for harmonic kernels.
 
     Harmonic kernels (Coulomb, log; the objective holds each to its own
@@ -82,12 +93,12 @@ def earnshaw_trace_check(potential, target: TargetNetwork, hyp: Hypothesis, i, t
         raise TooCloseToSingularity(f"pairwise distance below {_R_MIN}")
     harmonic_kernel = isinstance(potential, (CoulombPotential, LogPotential))
     obj = Objective(potential, target)
-    trace = theta_laplacian(obj, hyp, i, h=h)
+    trace = _theta_trace(obj, hyp, i)
     passed = abs(trace) <= tol
     return LandscapeVerdict(
         check="earnshaw-trace",
-        digest=_digest(kind=potential.name, w=target.w, b=target.b, theta=hyp.theta, a=hyp.a, i=i, h=h),
-        measured={"trace": float(trace), "h": h},
+        digest=_digest(kind=potential.name, w=target.w, b=target.b, theta=hyp.theta, a=hyp.a, i=i),
+        measured={"trace": trace},
         passed=passed,
         tol=tol,
         expected_fail=not harmonic_kernel,
@@ -95,7 +106,7 @@ def earnshaw_trace_check(potential, target: TargetNetwork, hyp: Hypothesis, i, t
     )
 
 
-def eigstrict_laplacian_check(lam, target: TargetNetwork, theta, tol=1e-3, h=1e-3):
+def eigstrict_laplacian_check(lam, target: TargetNetwork, theta, tol=1e-3):
     """Laplacian of the correlated translation of the first node's coincidence
     class at the exact outer-weight optimum.
 
@@ -113,18 +124,12 @@ def eigstrict_laplacian_check(lam, target: TargetNetwork, theta, tol=1e-3, h=1e-
     obj = Objective(pot, target)
     a = obj.solve_optimal_a(theta)
     predicted = -2.0 * lam * float(a[0]) ** 2
-    measured = theta_laplacian(obj, Hypothesis(theta=theta, a=a), 0, h=h)
-    err = abs(measured - predicted)
-    passed = err <= tol * max(abs(predicted), 1e-6)
+    measured = _theta_trace(obj, Hypothesis(theta=theta, a=a), 0)
+    passed = abs(measured - predicted) <= tol * max(abs(predicted), 1e-6)
     return LandscapeVerdict(
         check="eigstrict-laplacian",
-        digest=_digest(lam=lam, w=target.w, b=target.b, theta=theta, h=h),
-        measured={
-            "laplacian": float(measured),
-            "predicted": float(predicted),
-            "a0": float(a[0]),
-            "h": h,
-        },
+        digest=_digest(lam=lam, w=target.w, b=target.b, theta=theta),
+        measured={"laplacian": measured, "predicted": float(predicted), "a0": float(a[0])},
         passed=bool(passed),
         tol=tol,
     )
@@ -176,15 +181,15 @@ def sign_circle_scan(target: TargetNetwork, n_grid=2048):
     return CircleScanResult(minima=minima_angles, matched=matched, resolution=resolution)
 
 
-def poly_orthonormal_check(l, theta, b, tol=1e-4, fd_step=1e-3):
+def poly_orthonormal_check(l, theta, b, tol=1e-4):
     """Negative-curvature witness for the degree-l kernel with orthonormal
     fixed directions, measured through ``Objective`` with the fixed charges
     b at the basis vectors.
 
     At a critical point whose direction has >= 2 nonzero coordinates, the
     tangent direction supported on two of them carries curvature
-    -2 (l-2) l a^2 < 0; verified against a second difference of the loss
-    along the retracted path.
+    -2 (l-2) l a^2 < 0; verified against the quadratic form of
+    ``VectorObjective.hess`` along it, the Riemannian curvature there.
     """
     if l < 3:
         raise ValueError("need l >= 3")
@@ -211,13 +216,12 @@ def poly_orthonormal_check(l, theta, b, tol=1e-4, fd_step=1e-3):
         note = "single nonzero coordinate: global-minimum candidate, no witness required"
     else:
         i, j = int(support[0]), int(support[1])
-        v = np.zeros(d)
-        v[i], v[j] = theta[j], -theta[i]
+        v = np.zeros(1 + d)  # packed [a, theta] coordinates
+        v[1 + i], v[1 + j] = theta[j], -theta[i]
         v /= np.linalg.norm(v)
-        path = [pot.retract(theta + t * v) for t in (fd_step, 0.0, -fd_step)]
-        f = [obj.loss(Hypothesis(theta=p, a=[a])) for p in path]
-        curvature = (f[0] - 2.0 * f[1] + f[2]) / fd_step**2
-        measured["curvature"] = float(curvature)
+        vec = VectorObjective(obj, 1, d)
+        curvature = float(v @ vec.hess(vec.pack(Hypothesis(theta=theta, a=[a]))) @ v)
+        measured["curvature"] = curvature
         if abs(a) < 1e-12:
             note = "a = 0: zero curvature; the descent path reaches this with probability zero"
         else:

@@ -208,9 +208,10 @@ class Objective:
 class VectorObjective:
     """Flat-vector adapter over (a, theta) used by the descent algorithms.
 
-    Packing: x = [a_1..a_k, theta_11..theta_1d, ..., theta_kd]. ``hess``
-    takes central differences of the ``value_and_grad`` gradient; on the
-    sphere it returns P H P + c (I - P), with P the identity on the a's and
+    Packing: x = [a_1..a_k, theta_11..theta_1d, ..., theta_kd]. ``hess``,
+    the one Hessian of descent and of the landscape checks, takes central
+    differences of the ``value_and_grad`` gradient; on the sphere it
+    returns P H P + c (I - P), with P the identity on the a's and
     I - theta_i theta_i^T on each node and c = |H|_F + 1 above every tangent
     eigenvalue, so its smallest eigenpair is the Riemannian Hessian's, on
     the tangent space. ``project`` retracts the hidden vectors with
@@ -296,20 +297,3 @@ def fd_hessian(grad, x, h=1e-4):
     x = np.asarray(x, dtype=float)
     jac = np.array([grad(x + e) - grad(x - e) for e in np.eye(x.size) * h]) / (2.0 * h)
     return 0.5 * (jac + jac.T)
-
-
-def theta_laplacian(obj: Objective, hyp: Hypothesis, i, h=1e-4):
-    """Trace of the theta_i block of the Hessian via axis-aligned second
-    differences."""
-    if not 0 <= i < hyp.k:
-        raise DimensionMismatch(f"node index {i} out of range")
-    base = hyp.theta.copy()
-    f0 = obj.loss(hyp)
-    acc = 0.0
-    for m in range(hyp.d):
-        for sgn in (+1.0, -1.0):
-            t = base.copy()
-            t[i, m] += sgn * h
-            acc += obj.loss(Hypothesis(theta=t, a=hyp.a))
-        acc -= 2.0 * f0
-    return acc / (h * h)

@@ -305,9 +305,10 @@ class CoulombPotential(Potential):
 
     def phi_and_dphi(self, r):
         r = np.asarray(r, dtype=float)
-        # +inf and -inf, silently, at r = 0 and where a power of r underflows
+        # +inf and -inf, silently, at r = 0 and where a power of r underflows; at d = 3
+        # the slope squares 1 / r, which numpy rounds alike with and without AVX-512
         with np.errstate(divide="ignore", over="ignore"):
-            return r ** (2 - self.d), (2 - self.d) * r ** (1 - self.d)
+            return r ** (2 - self.d), (2 - self.d) * (1.0 / r) ** (self.d - 1)
 
 
 class LogPotential(Potential):

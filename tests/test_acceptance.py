@@ -243,13 +243,13 @@ def test_07_earnshaw():
         pts = separated_points(rng, 6, 3, scale=3.0, min_sep=1.0)
         target = TargetNetwork(w=pts[3:], b=rng.uniform(-1, 1, 3))
         hyp = Hypothesis(theta=pts[:3], a=rng.uniform(-1, 1, 3))
-        v = earnshaw_trace_check(CoulombPotential(3), target, hyp, 0, tol=1e-4, h=5e-4)
+        v = earnshaw_trace_check(CoulombPotential(3), target, hyp, 0, tol=1e-4)
         worst = max(worst, abs(v.measured["trace"]))
     for _ in range(50):
         pts = separated_points(rng, 4, 2, scale=3.0, min_sep=1.0)
         target = TargetNetwork(w=pts[2:], b=rng.uniform(-1, 1, 2))
         hyp = Hypothesis(theta=pts[:2], a=rng.uniform(-1, 1, 2))
-        v = earnshaw_trace_check(LogPotential(), target, hyp, 0, tol=1e-4, h=5e-4)
+        v = earnshaw_trace_check(LogPotential(), target, hyp, 0, tol=1e-4)
         worst = max(worst, abs(v.measured["trace"]))
     harmonic_ok = worst <= 1e-4
 

@@ -112,6 +112,12 @@ class TestVerify:
         assert main(["verify", "--check", "eigstrict", "--out", str(tmp_path / "default.jsonl")]) == 0
         assert (tmp_path / "default.jsonl").read_text() == paths[0].read_text()
 
+    def test_no_false_failures_from_loss_rounding(self, capsys):
+        # second differences of the loss value, dominated by its constant
+        # fixed-fixed block, failed the eigen-identity on these seeds
+        for seed in (6, 66, 72, 90, 123, 129, 159, 171, 189):
+            assert main(["verify", "--seed", str(seed)]) == 0, capsys.readouterr().out
+
     def test_seeds_is_a_usage_error(self, capsys):
         assert main(["verify", "--seeds", "3"]) == 2
         assert "unrecognized arguments: --seeds 3" in capsys.readouterr().err

@@ -222,12 +222,21 @@ class TestOneLoop:
         obj = Objective(GaussianPotential(1.0), TargetNetwork(w=np.zeros((1, 3)), b=[1.0]))
         vec = VectorObjective(obj, 1, 3)
         x0 = np.array([1e154, 1.0, 0.0, 0.0])
-        with np.errstate(over="ignore"):
-            rep = driver(vec, x0, DescentConfig(T=10, alpha=1e154))
+        rep = driver(vec, x0, DescentConfig(T=10, alpha=1e154))
         assert rep.termination == "error" and "must be finite" in rep.error
         assert rep.iterations == 0 and rep.rows == []
         np.testing.assert_array_equal(rep.final_x, x0)
         assert rep.final_value == vec.value_and_grad(x0)[0] < np.inf
+
+    @pytest.mark.parametrize("driver", [gd, second_gd])
+    def test_overflowing_gradient_norm_ends_in_error(self, driver):
+        # |g| of a finite gradient of 1e200 per coordinate overflows in
+        # np.linalg.norm; it ends the run instead of warning
+        obj = FunctionObjective(lambda x: float(np.sum(x)), lambda x: np.full_like(x, 1e200))
+        rep = driver(obj, np.zeros(3), DescentConfig(T=5))
+        assert rep.termination == "error" and "gradient norm inf at iteration 1" in rep.error
+        assert rep.iterations == 0
+        np.testing.assert_array_equal(rep.final_x, np.zeros(3))
 
     def test_early_stop_between_strides(self):
         rep = assert_matches_former_loop(*gaussian_two_branch_run(trace_stride=7))
@@ -311,6 +320,16 @@ class TestGD:
         # rescale min(1, alpha / scale)
         with pytest.raises(ValueError, match="need T >= 1 and positive, finite alpha, eta, gamma"):
             DescentConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "fields", [{"alpha": 1e155}, {"alpha": 1e150, "eta": 1e100, "gamma": 1e100}]
+    )
+    def test_overflowing_decrease_threshold_rejected(self, fields):
+        # alpha**2 raises OverflowError past about 1.34e154, and both terms
+        # of the threshold can also overflow to inf
+        with pytest.raises(ValueError, match=r"min_decrease\(\); got T=1000, alpha=1e\+15"):
+            DescentConfig(**fields)
+        assert DescentConfig(alpha=1e154).min_decrease() > 0.0
 
 
 class TestHessianDescentStep:

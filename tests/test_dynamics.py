@@ -94,8 +94,15 @@ class TestNonFiniteInputs:
     def test_step_to_infinity_raises(self):
         # one Euler step of size 1e308 at speed about 60 leaves the float range
         sys_ = gaussian_system([[0.0, 0.0], [1.0, 0.0]], [10.0, -10.0], fixed={1})
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteSample):
+        with pytest.raises(NonFiniteSample):
             step(sys_, 1e308, scheme="euler")
+
+    def test_rk4_step_to_infinity_raises_without_warnings(self):
+        # the RK4 stages overflow and then meet inf - inf; the suite's
+        # RuntimeWarning filter turns any of those warnings into an error
+        sys_ = gaussian_system([[0.0, 0.0], [1.0, 0.0]], [10.0, -10.0], fixed={1})
+        with pytest.raises(NonFiniteSample):
+            step(sys_, 1e308, scheme="rk4")
 
 
 class TestStep:

@@ -55,17 +55,6 @@ class TestEarnshaw:
         with pytest.raises(TooCloseToSingularity):
             earnshaw_trace_check(CoulombPotential(3), target, hyp, 0)
 
-    def test_residual_second_order_in_step(self):
-        # halving the step quarters the finite-difference residual; measured
-        # where truncation dominates roundoff (electron near one proton)
-        target = TargetNetwork(w=np.array([[0.5, 0.0, 0.0]]), b=[1.0])
-        hyp = Hypothesis(theta=np.zeros((1, 3)), a=[-1.0])
-        big = earnshaw_trace_check(CoulombPotential(3), target, hyp, 0, tol=1.0, h=8e-3)
-        small = earnshaw_trace_check(CoulombPotential(3), target, hyp, 0, tol=1.0, h=4e-3)
-        r_big = abs(big.measured["trace"])
-        r_small = abs(small.measured["trace"])
-        assert r_small < r_big / 3.0
-
     def test_verdict_digest_depends_on_config(self):
         rng = np.random.default_rng(3)
         t1, h1 = config(rng, 2, 3)

@@ -18,7 +18,6 @@ from chargeflow.loss import (
     TargetNetwork,
     VectorObjective,
     fd_hessian,
-    theta_laplacian,
 )
 from chargeflow.potentials import (
     CoulombPotential,
@@ -520,22 +519,31 @@ class TestNonFiniteInputs:
 
 
 class TestThetaLaplacian:
+    """The trace of one node's theta block of ``VectorObjective.hess``, the
+    Laplacian the landscape checks read."""
+
+    @staticmethod
+    def trace(obj, hyp, i=0):
+        hess = packed_hessian(obj, hyp, h=1e-4)
+        node = slice(hyp.k + i * hyp.d, hyp.k + (i + 1) * hyp.d)
+        return np.trace(hess[node, node])
+
     def test_coulomb_harmonic(self):
         rng = np.random.default_rng(14)
         pts = separated_points(rng, 6, 3, scale=3.0, min_sep=1.0)
         tgt = TargetNetwork(w=pts[3:], b=rng.uniform(-1, 1, 3))
         obj = Objective(CoulombPotential(3), tgt)
         hyp = Hypothesis(theta=pts[:3], a=rng.uniform(-1, 1, 3))
-        assert theta_laplacian(obj, hyp, 0, h=5e-4) == pytest.approx(0.0, abs=1e-5)
+        assert self.trace(obj, hyp) == pytest.approx(0.0, abs=1e-5)
 
     def test_gaussian_sign_beyond_threshold(self):
         # kernel Laplacian flips sign at r^2 = d/c; read it off the loss trace
         # with unit positive charge product (2 a b Delta Phi)
         obj2 = Objective(GaussianPotential(1.0), TargetNetwork(w=np.array([[2.0, 0.0, 0.0]]), b=[1.0]))
         hyp = Hypothesis(theta=np.zeros((1, 3)), a=[1.0])
-        assert theta_laplacian(obj2, hyp, 0, h=1e-4) > 0  # r^2 = 4 > 3
+        assert self.trace(obj2, hyp) > 0  # r^2 = 4 > 3
         obj1 = Objective(GaussianPotential(1.0), TargetNetwork(w=np.array([[1.0, 0.0, 0.0]]), b=[1.0]))
-        assert theta_laplacian(obj1, hyp, 0, h=1e-4) < 0  # r^2 = 1 < 3
+        assert self.trace(obj1, hyp) < 0  # r^2 = 1 < 3
 
     def test_eigen_identity_on_cross_terms(self):
         # lam=1 kernel: Laplacian of the cross terms equals the cross-term sum
@@ -546,8 +554,7 @@ class TestThetaLaplacian:
         a = rng.uniform(0.5, 1.0)
         hyp = Hypothesis(theta=pts[:1], a=[a])
         cross_sum = 2.0 * a * float((obj.cross_block(pts[0]) @ tgt.b)[0])
-        lap = theta_laplacian(obj, hyp, 0, h=1e-4)
-        assert lap == pytest.approx(cross_sum, rel=1e-4, abs=1e-6)
+        assert self.trace(obj, hyp) == pytest.approx(cross_sum, rel=1e-4, abs=1e-6)
 
 
 class TestEigIdentity:

@@ -20,7 +20,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ChargeflowError, DivergedLoss, EigenSolveFailure, InitializationFailed
+from .errors import (
+    ChargeflowError,
+    DivergedLoss,
+    EigenSolveFailure,
+    InitializationFailed,
+    NonFiniteSample,
+)
 from .loss import NodeObjective, Objective, fd_hessian
 from .potentials import pair_distances
 
@@ -282,6 +288,8 @@ _TRIAL_CHUNK = 1 << 19
 _PREFIX = 4096
 # relative margin of every pruning comparison, far above the rounding of |S|
 _SLACK = 1e-9
+# rows per pass of the pruning tests
+_SLAB = 1 << 15
 # candidate pruning radii, as fractions of the farthest reachable separation
 _RADIUS_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 4096)])
 # glibc's mallopt parameter number for the mmap threshold (malloc.h)
@@ -333,7 +341,11 @@ def _may_beat(obj: Objective, z, u, radius, t):
     need no pow or sqrt per row, each widened by the relative slack:
     |theta| within R of |w_j| (a shell in u), and, when R < |w_j|, the
     direction of z within the cone around w_j that the ball B(w_j, R)
-    subtends. Every row scoring |S| >= t (1 - slack) is kept."""
+    subtends. Every row scoring |S| >= t (1 - slack) is kept.
+
+    The tests run on ``_SLAB`` rows at a time, so their masks, row copies and
+    products never outgrow one slab; a row whose test lands within an ulp of
+    its widened bound scores far below t either way."""
     m, d = z.shape
     w = obj.target.w
     norms = np.sqrt(np.einsum("ij,ij->i", w, w))
@@ -341,17 +353,19 @@ def _may_beat(obj: Objective, z, u, radius, t):
     if big_r == np.inf:
         return np.ones(m, dtype=bool)
     keep = np.zeros(m, dtype=bool)
-    for wj, n in zip(w, norms):
-        lo = (max(n - big_r, 0.0) / radius) ** d * (1.0 - _SLACK)
-        hi = ((n + big_r) / radius) ** d * (1.0 + _SLACK)
-        rows = np.flatnonzero((u >= lo) & (u <= hi))
-        if big_r < n:
-            zr = z[rows]
-            zw = zr @ wj
-            # cos^2 of the angle to w_j at least 1 - (R / |w_j|)^2
-            cut = (n - big_r) * (n + big_r) * (1.0 - _SLACK)
-            rows = rows[(zw > 0.0) & (zw * zw >= np.einsum("ij,ij->i", zr, zr) * cut)]
-        keep[rows] = True
+    for start in range(0, m, _SLAB):
+        zs, us = z[start : start + _SLAB], u[start : start + _SLAB]
+        for wj, n in zip(w, norms):
+            lo = (max(n - big_r, 0.0) / radius) ** d * (1.0 - _SLACK)
+            hi = ((n + big_r) / radius) ** d * (1.0 + _SLACK)
+            rows = np.flatnonzero((us >= lo) & (us <= hi))
+            if big_r < n:
+                zr = zs[rows]
+                zw = zr @ wj
+                # cos^2 of the angle to w_j at least 1 - (R / |w_j|)^2
+                cut = (n - big_r) * (n + big_r) * (1.0 - _SLACK)
+                rows = rows[(zw > 0.0) & (zw * zw >= np.einsum("ij,ij->i", zr, zr) * cut)]
+            keep[start + rows] = True
     return keep
 
 
@@ -361,15 +375,21 @@ def _best_trial(obj: Objective, rng, radius, m, top):
     pruning threshold, the largest |S| scored so far; None scores the
     chunk's first rows to set it.
 
-    Only the kept rows are built and get kernel rows, written at their row
-    positions into a zero block whose one matvec gives every kept row the
-    bits of the full chunk. A one-row block rounds differently, and so does
-    a compact product over the kept rows alone on some OpenBLAS cores
-    (Sandybridge, Nehalem), so the zero block stays. A pruned
-    row cannot beat a strictly negative change, so the optimum is taken
-    over the kept rows only; when none of them decreases the loss the chunk
-    cannot win and this returns None. Only the copied best point outlives
-    the call, so one chunk's arrays are freed before the next."""
+    Only the kept rows are built and get kernel rows. Their compact product
+    ``|cross @ b|`` ranks them: only the rows within ``_SLACK *
+    max(|cross| @ |b|)`` of its maximum can win, since both products round
+    by at most k ulps of ``|cross| @ |b|``, and only these possible winners
+    (the best row and its exact ties) are written at their row positions
+    into a zero block whose one matvec gives them the bits of the full
+    chunk. The block's other pages are never written, so never faulted in.
+    A one-row block rounds differently, and so does a compact product over
+    the kept rows alone on some OpenBLAS cores (Sandybridge and Nehalem,
+    and any core at k >= 8), so the zero block stays. A non-finite compact
+    score raises NonFiniteSample. A pruned row cannot beat a strictly
+    negative change, so the optimum is taken over the kept rows only; when
+    none of them decreases the loss the chunk cannot win and this returns
+    None. Only the copied best point outlives the call, so one chunk's
+    arrays are freed before the next."""
     z = rng.standard_normal((m, obj.target.d))
     u = rng.uniform(size=m)
     b = obj.target.b
@@ -381,8 +401,17 @@ def _best_trial(obj: Objective, rng, radius, m, top):
     keep[:head] = True
     rows = np.flatnonzero(keep)
     pts = _ball_points(z[rows], u[rows], radius)
+    cross = obj.cross_block(pts)
+    compact = np.abs(cross @ b)
+    # initial=0 lets a chunk without kept rows fall through to None below
+    best = float(compact.max(initial=0.0))
+    if not math.isfinite(best):
+        raise NonFiniteSample(f"non-finite init score {best} in a chunk of {m} samples")
+    margin = _SLACK * float((np.abs(cross) @ np.abs(b)).max(initial=0.0))
+    near = np.flatnonzero(compact >= best - margin)
+    rows, pts = rows[near], pts[near]
     block = np.zeros((m, obj.target.k))
-    block[rows] = obj.cross_block(pts)
+    block[rows] = cross[near]
     s = (block @ b)[rows]
     a, changes = obj.outer_optimum(s)
     if not np.any(changes < 0.0):

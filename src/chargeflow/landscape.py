@@ -23,8 +23,9 @@ from .errors import (
     TooCloseToSingularity,
 )
 from .harmonic import LambdaHarmonicRadial
-from .loss import Hypothesis, Objective, TargetNetwork, VectorObjective
+from .loss import Hypothesis, Objective, TargetNetwork, VectorObjective, fd_hessian
 from .potentials import (
+    SPHERE,
     CoulombPotential,
     LogPotential,
     PolynomialPotential,
@@ -73,13 +74,26 @@ def _digest(**config):
 
 
 def _theta_trace(obj: Objective, hyp: Hypothesis, i):
-    """Trace of node i's theta block of ``VectorObjective.hess``. Second differences
-    of the loss value would lose about 1e-9 to its constant fixed-fixed block."""
+    """Trace of node i's theta block of ``VectorObjective.hess``, with the
+    same bits: ``fd_hessian`` of the gradient restricted to node i's d
+    theta-coordinates, 2d gradient calls in place of the whole Hessian's
+    2k(d+1). Second differences of the loss value would lose about 1e-9 to
+    its constant fixed-fixed block. Sphere kernels raise DimensionMismatch:
+    there the Hessian's block carries the c (I - P) normal padding."""
     if not 0 <= i < hyp.k:
         raise DimensionMismatch(f"node index {i} out of range")
+    if obj.potential.manifold == SPHERE:
+        raise DimensionMismatch(f"{obj.potential.name}: the theta trace needs a Euclidean kernel")
     vec = VectorObjective(obj, hyp.k, hyp.d)
+    x = vec.pack(hyp)
     node = slice(hyp.k + i * hyp.d, hyp.k + (i + 1) * hyp.d)
-    return float(np.trace(vec.hess(vec.pack(hyp))[node, node]))
+
+    def node_grad(theta_i):
+        z = x.copy()
+        z[node] = theta_i
+        return vec.value_and_grad(z)[1][node]
+
+    return float(np.trace(fd_hessian(node_grad, x[node])))
 
 
 def earnshaw_trace_check(potential, target: TargetNetwork, hyp: Hypothesis, i, tol=1e-4):

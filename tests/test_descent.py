@@ -23,6 +23,7 @@ from chargeflow.errors import (
     EigenSolveFailure,
     InitializationFailed,
     NonDifferentiablePoint,
+    NonFiniteSample,
 )
 from chargeflow import descent
 from chargeflow.loss import Objective, TargetNetwork, VectorObjective
@@ -711,6 +712,66 @@ class TestPrunedInit:
         want = exhaustive_init(obj, policy, 2)
         assert got[0] == want[0] and got[2] == want[2]
         assert np.array_equal(got[1], want[1])
+
+    # at k = 8 the compact product over the kept rows can round differently
+    # from the full-chunk block's on any OpenBLAS core: with the almost
+    # kernel, the winner of the 7000-sample chunk at seed 2 does so on the
+    # SkylakeX, Sandybridge and Nehalem cores alike
+    @pytest.mark.parametrize("trials,seed", [(7000, 2), (2 * CHUNK + 1000, 0)])
+    def test_eight_fixed_points_equal_exhaustive_oracle(self, pot, trials, seed):
+        rng = np.random.default_rng(7)
+        w = rng.uniform(-3.0, 3.0, size=(8, 3))
+        obj = Objective(pot, TargetNetwork(w=w, b=rng.uniform(-1.0, 1.0, 8)))
+        policy = RandomBallInit(4.0, trials=trials)
+        got = initialize_node(obj, policy, seed=seed)
+        want = exhaustive_init(obj, policy, seed)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(got[1], want[1])
+
+    def test_exact_tie_goes_to_the_first_row(self):
+        # one fixed point at the origin scores a point and its mirror image
+        # with the same bits; the chunk's winner gets a mirrored copy in the
+        # last row, and the earlier row must win, as in exhaustive_init
+        obj = Objective(GaussianPotential(1.0), TargetNetwork(w=[[0.0, 0.0, 0.0]], b=[0.9]))
+        m, radius, seed = 1 << 16, 4.0, 4
+        pts = chunk_points(philox(seed), m, 3, radius)
+        first = int(np.argmin(obj.optimal_outer_weight(pts)[1]))
+        assert first < m - 1
+
+        class MirroredWinner:
+            def __init__(self):
+                self.rng = philox(seed)
+
+            def standard_normal(self, shape):
+                z = self.rng.standard_normal(shape)
+                z[-1] = -z[first]
+                return z
+
+            def uniform(self, size):
+                u = self.rng.uniform(size=size)
+                u[-1] = u[first]
+                return u
+
+        pts = chunk_points(MirroredWinner(), m, 3, radius)
+        a, changes = obj.optimal_outer_weight(pts)
+        assert changes[first] == changes[-1] == changes.min()
+        assert not np.array_equal(pts[first], pts[-1])
+        got = descent._best_trial(obj, MirroredWinner(), radius, m, top=None)
+        assert got[0] == a[first] and got[2] == changes[first]
+        assert np.array_equal(got[1], pts[first])
+
+    def test_non_finite_score_raises(self, monkeypatch):
+        obj = init_objectives(GaussianPotential(1.0))["full"]
+        cross_block = obj.cross_block
+
+        def poisoned(theta):
+            block = cross_block(theta)
+            block[-1, 0] = np.nan
+            return block
+
+        monkeypatch.setattr(obj, "cross_block", poisoned)
+        with pytest.raises(NonFiniteSample, match="non-finite init score"):
+            initialize_node(obj, RandomBallInit(4.0, trials=1000), seed=0)
 
     def test_certified_kernels(self, almost_table):
         assert almost_table.radially_nonincreasing

@@ -3,19 +3,26 @@ import pytest
 
 from chargeflow.errors import (
     DegenerateCluster,
+    DimensionMismatch,
     NotACriticalPoint,
     OffManifold,
     TooCloseToSingularity,
 )
 from chargeflow.landscape import (
+    _theta_trace,
     earnshaw_trace_check,
     eigstrict_laplacian_check,
     poly_orthonormal_check,
     sign_circle_scan,
     subharmonic_sign_check,
 )
-from chargeflow.loss import Hypothesis, TargetNetwork
-from chargeflow.potentials import CoulombPotential, GaussianPotential, LogPotential
+from chargeflow.loss import Hypothesis, Objective, TargetNetwork, VectorObjective
+from chargeflow.potentials import (
+    CoulombPotential,
+    GaussianPotential,
+    LogPotential,
+    PolynomialPotential,
+)
 
 from conftest import radial_laplacian, separated_points
 
@@ -64,6 +71,30 @@ class TestEarnshaw:
         assert v1.digest != v2.digest
         v1b = earnshaw_trace_check(CoulombPotential(3), t1, h1, 0)
         assert v1.digest == v1b.digest
+
+    def test_trace_has_the_whole_hessian_block_bits(self):
+        # node i's trace is read off differences of node i's coordinates
+        # alone, with the bits of the whole Hessian's block
+        rng = np.random.default_rng(4)
+        for pot, k, d in (
+            (CoulombPotential(3), 3, 3),
+            (LogPotential(), 2, 2),
+            (GaussianPotential(1.0), 3, 3),
+        ):
+            target, hyp = config(rng, k, d)
+            obj = Objective(pot, target)
+            vec = VectorObjective(obj, k, d)
+            hess = vec.hess(vec.pack(hyp))
+            for i in range(k):
+                node = slice(k + i * d, k + (i + 1) * d)
+                assert _theta_trace(obj, hyp, i) == float(np.trace(hess[node, node]))
+
+    def test_sphere_kernel_rejected(self):
+        # on the sphere the Hessian's theta block carries the c (I - P) padding
+        target = TargetNetwork(w=np.array([[0.0, 0.0, 1.0]]), b=[1.0])
+        hyp = Hypothesis(theta=np.array([[1.0, 0.0, 0.0]]), a=[-1.0])
+        with pytest.raises(DimensionMismatch, match="poly:l=3"):
+            earnshaw_trace_check(PolynomialPotential(3), target, hyp, 0)
 
 
 class TestEigStrict:

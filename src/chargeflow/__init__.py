@@ -3,7 +3,6 @@
 from .descent import (
     DescentConfig,
     DescentReport,
-    FunctionObjective,
     RandomBallInit,
     StationaritySet,
     gd,
@@ -52,7 +51,6 @@ from .loss import (
     Objective,
     TargetNetwork,
     VectorObjective,
-    fd_hessian,
 )
 from .potentials import (
     Activation,

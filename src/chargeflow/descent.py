@@ -3,10 +3,10 @@ combination with an early stop, and the sequential node-by-node driver.
 
 All algorithms operate on objectives over a flat coordinate vector with three
 methods: ``value_and_grad(x)``, ``hess(x)`` and ``project(x)`` (the
-retraction onto the objective's manifold). ``loss.VectorObjective``, its
-single-node ``loss.NodeObjective`` and ``FunctionObjective`` implement all
-three. Runs are deterministic: the only randomness is the seeded ball
-sampling in node initialization.
+retraction onto the objective's manifold). ``loss.VectorObjective`` and its
+single-node ``loss.NodeObjective`` implement all three. Runs are
+deterministic: the only randomness is the seeded ball sampling in node
+initialization.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     InitializationFailed,
     NonFiniteSample,
 )
-from .loss import NodeObjective, Objective, fd_hessian
+from .loss import NodeObjective, Objective
 from .potentials import pair_distances
 
 
@@ -127,33 +127,10 @@ class StationaritySet:
         return self.grad_ok and self.hess_ok
 
 
-class FunctionObjective:
-    """Wrap plain callables as a Euclidean descent objective; a missing
-    Hessian falls back to central differences of the gradient."""
-
-    def __init__(self, f, grad, hess=None):
-        self._f = f
-        self._grad = lambda x: np.asarray(grad(x), dtype=float)
-        self._hess = hess
-
-    def value_and_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(self._f(x)), self._grad(x)
-
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._hess is not None:
-            return np.asarray(self._hess(x), dtype=float)
-        return fd_hessian(self._grad, x)
-
-    def project(self, x):
-        return x
-
-
 def min_eigpair(h):
     """Smallest eigenvalue and unit eigenvector of a symmetric matrix (dense
-    ``eigh``), typically a Hessian from central differences of the analytic
-    gradient. Non-finite entries raise EigenSolveFailure."""
+    ``eigh``), typically the analytic Hessian of ``VectorObjective.hess``.
+    Non-finite entries raise EigenSolveFailure."""
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise EigenSolveFailure("Hessian has non-finite entries")

@@ -164,6 +164,21 @@ class LambdaHarmonicRadial(Potential):
     def _slope_poly(self):
         return self.nth_deriv_poly(1)
 
+    def d2phi(self, r):
+        """phi'' = q_2(r) e^{-s r} / r^d, sharing the caps of ``phi_and_deriv``.
+        The power r^d is r^(d-1) times r: at d = 3 a square and a product,
+        which round alike with and without AVX-512."""
+        with np.errstate(divide="ignore", over="ignore"):
+            if self.lam == 0:
+                r = np.asarray(r, dtype=float)
+                return (2 - self.d) * (1 - self.d) / (r ** (self.d - 1) * r)
+            r, e = self._capped(r)
+            return _poly_eval(self._curvature_poly, r) * e / (r ** (self.d - 1) * r)
+
+    @cached_property
+    def _curvature_poly(self):
+        return self.nth_deriv_poly(2)
+
     def nth_deriv_poly(self, n):
         """Coefficients q_n with phi^(n)(r) = (-1)^n q_n(r) e^{-s r} / r^{d-2+n}."""
         q = self.coeffs
@@ -231,6 +246,10 @@ class TabulatedPotential(Potential):
     beyond the last knot, and extends constantly below the first positive knot.
     A cubic whose interval midpoint leaves the range of its knots raises
     GridTooCoarse.
+
+    ``d2phi`` differentiates the same pieces twice. The table is C^1 (the
+    cubics match values and slopes at the knots, not curvatures), so phi''
+    jumps at every knot, and it is 0 on the flat core below ``r_grid[1]``.
 
     ``radially_nonincreasing`` certifies that the kernel never rises with r:
     the knot values do not rise and every log-log cubic passes the
@@ -317,6 +336,26 @@ class TabulatedPotential(Potential):
     def value_and_deriv(self, r):
         """(value, d value / d r) in one pass."""
         return self._evaluate(r)
+
+    def d2phi(self, r):
+        """Second derivative in r, by region as ``_evaluate``: 0 on the flat
+        core; on the grid, with y(log r) the log-log cubic, v (y'^2 + y'' -
+        y') / r^2; beyond it the closed-form tail's over z. Its own lookup
+        keeps ``_evaluate``, the descent and init path, as it is."""
+        r = np.asarray(r, dtype=float)
+        g = self.r_grid
+        rc = np.minimum(np.maximum(r, g[1]), g[-1])
+        x = np.log(rc)
+        idx = np.minimum(self._x.searchsorted(x, side="right") - 1, self._x.size - 2)
+        t = x - self._x[idx]
+        c0, c1, c2, c3 = self._c.take(idx, axis=1)
+        v = np.exp(((c3 * t + c2) * t + c1) * t + c0)
+        y1 = (3.0 * c3 * t + 2.0 * c2) * t + c1
+        y2 = 6.0 * c3 * t + 2.0 * c2
+        curv = v * (y1 * y1 + y2 - y1) / (rc * rc)
+        tail = self._tail.d2phi(np.maximum(r, g[-1])) / self.z
+        out = np.where(r < g[1], 0.0, np.where(r <= g[-1], curv, tail))
+        return float(out) if out.ndim == 0 else out
 
     @property
     def name(self):

@@ -2,10 +2,10 @@
 reduce to.
 
 These are diagnostics, not proofs: each check samples a configuration, reads
-a trace/curvature off ``VectorObjective.hess`` (the Hessian descent uses),
-and compares it to the closed form the argument predicts. A verdict records the
-measured numbers, the tolerance, and whether failure was the expected outcome
-(control cases).
+a trace/curvature off the analytic ``Objective.hessian`` (the Hessian descent
+uses), and compares it to the closed form the argument predicts. A verdict
+records the measured numbers, the tolerance, and whether failure was the
+expected outcome (control cases).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     TooCloseToSingularity,
 )
 from .harmonic import LambdaHarmonicRadial
-from .loss import Hypothesis, Objective, TargetNetwork, VectorObjective, fd_hessian
+from .loss import Hypothesis, Objective, TargetNetwork
 from .potentials import (
     SPHERE,
     CoulombPotential,
@@ -74,26 +74,15 @@ def _digest(**config):
 
 
 def _theta_trace(obj: Objective, hyp: Hypothesis, i):
-    """Trace of node i's theta block of ``VectorObjective.hess``, with the
-    same bits: ``fd_hessian`` of the gradient restricted to node i's d
-    theta-coordinates, 2d gradient calls in place of the whole Hessian's
-    2k(d+1). Second differences of the loss value would lose about 1e-9 to
-    its constant fixed-fixed block. Sphere kernels raise DimensionMismatch:
+    """Trace of node i's theta block of the analytic ``Objective.hessian``,
+    the loss's Laplacian in theta_i. Sphere kernels raise DimensionMismatch:
     there the Hessian's block carries the c (I - P) normal padding."""
     if not 0 <= i < hyp.k:
         raise DimensionMismatch(f"node index {i} out of range")
     if obj.potential.manifold == SPHERE:
         raise DimensionMismatch(f"{obj.potential.name}: the theta trace needs a Euclidean kernel")
-    vec = VectorObjective(obj, hyp.k, hyp.d)
-    x = vec.pack(hyp)
     node = slice(hyp.k + i * hyp.d, hyp.k + (i + 1) * hyp.d)
-
-    def node_grad(theta_i):
-        z = x.copy()
-        z[node] = theta_i
-        return vec.value_and_grad(z)[1][node]
-
-    return float(np.trace(fd_hessian(node_grad, x[node])))
+    return float(np.trace(obj.hessian(hyp)[node, node]))
 
 
 def earnshaw_trace_check(potential, target: TargetNetwork, hyp: Hypothesis, i, tol=1e-4):
@@ -203,7 +192,7 @@ def poly_orthonormal_check(l, theta, b, tol=1e-4):
     At a critical point whose direction has >= 2 nonzero coordinates, the
     tangent direction supported on two of them carries curvature
     -2 (l-2) l a^2 < 0; verified against the quadratic form of
-    ``VectorObjective.hess`` along it, the Riemannian curvature there.
+    ``Objective.hessian`` along it, the Riemannian curvature there.
     """
     if l < 3:
         raise ValueError("need l >= 3")
@@ -233,8 +222,7 @@ def poly_orthonormal_check(l, theta, b, tol=1e-4):
         v = np.zeros(1 + d)  # packed [a, theta] coordinates
         v[1 + i], v[1 + j] = theta[j], -theta[i]
         v /= np.linalg.norm(v)
-        vec = VectorObjective(obj, 1, d)
-        curvature = float(v @ vec.hess(vec.pack(Hypothesis(theta=theta, a=[a]))) @ v)
+        curvature = float(v @ obj.hessian(Hypothesis(theta=theta, a=[a])) @ v)
         measured["curvature"] = curvature
         if abs(a) < 1e-12:
             note = "a = 0: zero curvature; the descent path reaches this with probability zero"

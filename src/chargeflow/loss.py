@@ -139,6 +139,63 @@ class Objective:
         gt = 2.0 * a[:, None] * (np.einsum("ijd,j->id", g_ee, a) + np.einsum("ijd,j->id", g_ew, b))
         return val, 2.0 * half_ga, pot.tangent(hyp.theta, gt)
 
+    def hessian(self, hyp: Hypothesis):
+        """Analytic Hessian over the packed vector [a_1..a_k, theta_11..theta_kd],
+        exactly symmetric, from the pair blocks of ``pairwise_grad`` (K, G)
+        and ``pairwise_hess`` (H, X), the mobile-mobile ones and the
+        mobile-fixed ones (superscript w). With F_i = sum_j a_j G_ij +
+        b_j G^w_ij, half the theta_i-gradient over a_i:
+
+            d2L / da_i da_j         = 2 K_ij + 2 quad delta_ij
+            d2L / dtheta_i da_j     = 2 a_i G_ij + 2 delta_ij F_i
+            d2L / dtheta_i^2        = 2 a_i sum_j (a_j H_ij + b_j H^w_ij)
+            d2L / dtheta_i dtheta_j = 2 a_i a_j X_ij    (i != j)
+
+        On the sphere this is the Riemannian Hessian on the tangent space,
+        P H P - (theta_i . grad_i) P_i on each node's block, with P the
+        identity on the a's and P_i = I - theta_i theta_i^T, padded with
+        c (I - P), c one above the Frobenius norm of the tangent part and so
+        above every tangent eigenvalue: the smallest eigenpair is the
+        tangent one. Zero separation raises as in ``pairwise_grad``."""
+        self._check(hyp)
+        pot, w, b = self.potential, self.target.w, self.target.b
+        a, theta = hyp.a, hyp.theta
+        k, d = theta.shape
+        gram_off, g_ee = pot.pairwise_grad(theta)
+        field = np.einsum("ijd,j->id", g_ee, a)
+        field += np.einsum("ijd,j->id", pot.pairwise_grad(theta, w)[1], b)
+        # sum_j (a_j H_ij + b_j H^w_ij), one (k, k, d, d) block live at a time
+        own = np.einsum("ijde,j->ide", pot.pairwise_hess(theta, w)[0], b)
+        h_ee, x_ee = pot.pairwise_hess(theta)
+        own += np.einsum("ijde,j->ide", h_ee, a)
+        del h_ee
+        nodes = np.arange(k)
+        hess = np.empty((k + k * d, k + k * d))
+        hess[:k, :k] = 2.0 * gram_off + 2.0 * self._quad * np.eye(k)
+        # views of the theta-a block, [i, :, j], and the theta-theta block,
+        # [i, :, j, :], written in place
+        ta = hess[k:, :k].reshape(k, d, k)
+        np.multiply(2.0 * a[:, None, None], g_ee.transpose(0, 2, 1), out=ta)
+        ta[nodes, :, nodes] += 2.0 * field
+        hess[:k, k:] = hess[k:, :k].T
+        tt = hess[k:, k:].reshape(k, d, k, d)
+        aa = 2.0 * np.multiply.outer(a, a)[:, None, :, None]
+        np.multiply(aa, x_ee.transpose(0, 2, 1, 3), out=tt)
+        tt[nodes, :, nodes, :] = 2.0 * a[:, None, None] * own
+        if pot.manifold == SPHERE:
+            # -(theta_i . grad_i) P_i is P (-(theta_i . grad_i) I) P, with
+            # grad_i = 2 a_i F_i the Euclidean gradient
+            hess[k:, k:] -= np.diag(np.repeat(2.0 * a * np.einsum("id,id->i", theta, field), d))
+            normal = np.zeros((k, d, k, d))
+            normal[nodes, :, nodes, :] = theta[:, :, None] * theta[:, None, :]
+            p = np.eye(k + k * d)
+            p[k:, k:] -= normal.reshape(k * d, k * d)
+            hess = p @ hess @ p
+            hess += (np.linalg.norm(hess) + 1.0) * (np.eye(k + k * d) - p)
+        hess += hess.T
+        hess *= 0.5
+        return hess
+
     # -- quadratic structure in the outer weights -----------------------------
 
     def outer_curvature(self):
@@ -200,7 +257,7 @@ class Objective:
 
 
 # ---------------------------------------------------------------------------
-# finite differences over the packed coordinate vector
+# the packed coordinate vector
 # ---------------------------------------------------------------------------
 
 
@@ -209,13 +266,11 @@ class VectorObjective:
     """Flat-vector adapter over (a, theta) used by the descent algorithms.
 
     Packing: x = [a_1..a_k, theta_11..theta_1d, ..., theta_kd]. ``hess``,
-    the one Hessian of descent and of the landscape checks, takes central
-    differences of the ``value_and_grad`` gradient; on the sphere it
-    returns P H P + c (I - P), with P the identity on the a's and
-    I - theta_i theta_i^T on each node and c = |H|_F + 1 above every tangent
-    eigenvalue, so its smallest eigenpair is the Riemannian Hessian's, on
-    the tangent space. ``project`` retracts the hidden vectors with
-    ``Potential.retract`` and is the identity off the sphere.
+    the one Hessian of descent and of the landscape checks, is the analytic
+    ``Objective.hessian``; on the sphere its smallest eigenpair is the
+    Riemannian Hessian's, on the tangent space. ``project`` retracts the
+    hidden vectors with ``Potential.retract`` and is the identity off the
+    sphere.
     """
 
     objective: Objective
@@ -236,15 +291,8 @@ class VectorObjective:
         val, ga, gt = self.objective.loss_and_grad(self.unpack(x))
         return val, np.concatenate([ga, gt.ravel()])
 
-    def hess(self, x, h=1e-4):
-        hess = fd_hessian(lambda z: self.value_and_grad(z)[1], x, h)
-        if self.objective.potential.manifold != SPHERE:
-            return hess
-        p = np.eye(self.dim)
-        for i, theta in enumerate(np.reshape(x[self.k :], (self.k, self.d))):
-            node = slice(self.k + i * self.d, self.k + (i + 1) * self.d)
-            p[node, node] -= np.outer(theta, theta)
-        return p @ hess @ p + (np.linalg.norm(hess) + 1.0) * (np.eye(self.dim) - p)
+    def hess(self, x):
+        return self.objective.hessian(self.unpack(x))
 
     def project(self, x):
         if self.objective.potential.manifold != SPHERE:
@@ -287,13 +335,3 @@ class NodeObjective(VectorObjective):
         gt = (2.0 * a) * ((fac * b) @ diff)
         return val, np.concatenate([[ga], gt])
 
-
-def fd_hessian(grad, x, h=1e-4):
-    """Hessian from central differences of the analytic gradient,
-    J[i] = (grad(x + h e_i) - grad(x - h e_i)) / 2h, symmetrized as
-    (J + J^T)/2. With tangent-projected sphere gradients its quadratic form
-    is the Riemannian Hessian's on tangent vectors only; normal directions
-    still enter its eigenpairs (``VectorObjective.hess`` projects them out)."""
-    x = np.asarray(x, dtype=float)
-    jac = np.array([grad(x + e) - grad(x - e) for e in np.eye(x.size) * h]) / (2.0 * h)
-    return 0.5 * (jac + jac.T)

@@ -81,7 +81,9 @@ class Potential:
     Every kernel is one function of one pair argument s: the separation r on
     Euclidean space, the inner product rho on the unit sphere. Subclasses
     state the kernel once, in ``phi_and_dphi(s)``: the value together with
-    its slope in s.
+    its slope in s. Next to it, ``d2phi(s)`` states the second derivative,
+    which only the Hessian reads, so the value-and-slope path of descent and
+    init does no work for it.
     """
 
     name = "potential"
@@ -107,6 +109,10 @@ class Potential:
     def phi(self, s):
         """Kernel value at the pair argument s."""
         return self.phi_and_dphi(s)[0]
+
+    def d2phi(self, s):
+        """Second derivative phi''(s) of the kernel in its pair argument."""
+        raise NotImplementedError(f"{self.name} states no second derivative")
 
     # -- the pair core: every kernel block and kernel gradient -------------
 
@@ -141,6 +147,18 @@ class Potential:
             np.fill_diagonal(k, 0.0)
         return k
 
+    def _zero_separation(self, s):
+        """Mask of the Euclidean pair arguments at zero separation (None on
+        the sphere, whose kernels check their own kinks). Raises
+        NonDifferentiablePoint there unless the kernel is smooth at the
+        origin."""
+        if self.manifold == SPHERE:
+            return None
+        near = s < _COLLISION_GUARD
+        if near.any() and not self.smooth_origin:
+            raise NonDifferentiablePoint(f"{self.name}: zero separation at a kernel kink/singularity")
+        return near
+
     def pairwise_grad(self, x, y=None):
         """Kernel block and its gradient block in the first argument.
 
@@ -153,15 +171,9 @@ class Potential:
         """
         s = self._pair_arguments(x, y)
         ys = x if y is None else y
-        sphere = self.manifold == SPHERE
-        if not sphere:
-            near = s < _COLLISION_GUARD
-            if near.any() and not self.smooth_origin:
-                raise NonDifferentiablePoint(
-                    f"{self.name}: zero separation at a kernel kink/singularity"
-                )
+        near = self._zero_separation(s)
         k, dphi = self.phi_and_dphi(s)
-        if sphere:
+        if near is None:
             fac = np.asarray(dphi, dtype=float)
             vec = ys[None, :, :]
         else:
@@ -173,6 +185,43 @@ class Potential:
             np.fill_diagonal(k, 0.0)
             np.fill_diagonal(fac, 0.0)
         return k, fac[:, :, None] * vec
+
+    def pairwise_hess(self, x, y=None):
+        """Second-derivative blocks of the kernel, next to ``pairwise_grad``.
+
+        Returns (H, X), each of shape (n, m, d, d): H[i, j] is the Hessian of
+        Phi(x_i, y_j) in x_i and X[i, j] the mixed block d^2 Phi / dx_i dy_j^T.
+        In Euclidean space H = phi'' u u^T + phi'/r (I - u u^T), with u the
+        unit separation, and X = -H; on the sphere H = phi''(rho) y_j y_j^T
+        and X = phi''(rho) y_j x_i^T + phi'(rho) I (ambient, not yet
+        projected). Self-pairs contribute zero. Zero separation follows
+        ``pairwise_grad``: NonDifferentiablePoint unless the kernel is smooth
+        there, where H takes its limit phi''(0) I.
+        """
+        s = self._pair_arguments(x, y)
+        ys = x if y is None else y
+        near = self._zero_separation(s)
+        dphi = np.asarray(self.phi_and_dphi(s)[1], dtype=float)[..., None, None]
+        d2 = np.asarray(self.d2phi(s), dtype=float)[..., None, None]
+        eye = np.eye(x.shape[1])
+        if near is None:
+            h = d2 * (ys[:, :, None] * ys[:, None, :])
+            mixed = d2 * (ys[:, :, None] * x[:, None, None, :]) + dphi * eye
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                across = np.where(near[..., None, None], d2, dphi / s[..., None, None])
+                u = np.where(near[..., None], 0.0, (x[:, None, :] - ys[None, :, :]) / s[..., None])
+            uu = u[..., :, None] * u[..., None, :]
+            h = eye - uu
+            h *= across
+            uu *= d2
+            h += uu
+            mixed = -h
+        if y is None:
+            diag = np.arange(len(x))
+            h[diag, diag] = 0.0
+            mixed[diag, diag] = 0.0
+        return h, mixed
 
     def tangent(self, x, g):
         """Rows of g projected to the tangent spaces at the rows of x (the
@@ -202,14 +251,23 @@ class SignPotential(Potential):
     name = "sign"
     manifold = SPHERE
 
-    # defined at the kinks rho = +-1, where phi_and_dphi raises
+    # defined at the kinks rho = +-1, where the derivatives raise
     def phi(self, rho):
         return 1.0 - 2.0 * np.arccos(np.clip(rho, -1.0, 1.0)) / np.pi
 
-    def phi_and_dphi(self, rho):
+    @staticmethod
+    def _check_kinks(rho):
         if np.any(1.0 - np.abs(rho) < 1e-12):
             raise NonDifferentiablePoint("sign kernel has kinks at rho = +/-1")
+
+    def phi_and_dphi(self, rho):
+        self._check_kinks(rho)
         return self.phi(rho), 2.0 / (np.pi * np.sqrt(1.0 - rho * rho))
+
+    def d2phi(self, rho):
+        self._check_kinks(rho)
+        q = 1.0 - rho * rho
+        return 2.0 * rho / (np.pi * q * np.sqrt(q))
 
 
 class GaussianPotential(Potential):
@@ -233,6 +291,10 @@ class GaussianPotential(Potential):
         e = np.exp(np.square(r) * (-0.5 * self.c))
         return e, -self.c * r * e
 
+    def d2phi(self, r):
+        rr = np.square(np.minimum(r, self._r_cap))
+        return self.c * (self.c * rr - 1.0) * np.exp(rr * (-0.5 * self.c))
+
 
 class PolynomialPotential(Potential):
     """rho^l on the sphere, the kernel of the degree-l orthonormal Hermite."""
@@ -248,6 +310,10 @@ class PolynomialPotential(Potential):
     def phi_and_dphi(self, rho):
         rho = np.asarray(rho)
         return rho**self.l, self.l * rho ** (self.l - 1)
+
+    def d2phi(self, rho):
+        # l = 1 is linear: 0 * rho^0, no 0 * rho^-1
+        return self.l * (self.l - 1) * np.asarray(rho) ** max(self.l - 2, 0)
 
 
 class HermiteDualPotential(Potential):
@@ -270,6 +336,10 @@ class HermiteDualPotential(Potential):
         d = poly.polyder(self.taylor)
         return poly.polyval(rho, self.taylor) / self.z, poly.polyval(rho, d) / self.z
 
+    def d2phi(self, rho):
+        poly = np.polynomial.polynomial
+        return poly.polyval(rho, poly.polyder(self.taylor, 2)) / self.z
+
 
 class LaplaceExpPotential(Potential):
     """exp(-sqrt(lam) r); the one-dimensional Laplacian eigenfunction kernel."""
@@ -287,6 +357,9 @@ class LaplaceExpPotential(Potential):
     def phi_and_dphi(self, r):
         e = np.exp(-self.s * np.minimum(r, self._r_cap))
         return e, -self.s * e
+
+    def d2phi(self, r):
+        return self.s * self.s * np.exp(-self.s * np.minimum(r, self._r_cap))
 
 
 class CoulombPotential(Potential):
@@ -310,6 +383,16 @@ class CoulombPotential(Potential):
         with np.errstate(divide="ignore", over="ignore"):
             return r ** (2 - self.d), (2 - self.d) * (1.0 / r) ** (self.d - 1)
 
+    def d2phi(self, r):
+        r = np.asarray(r, dtype=float)
+        if self.d == 1:  # phi = r, without 0 * inf at r = 0
+            return np.zeros_like(r)
+        # (2-d)(1-d) / r^d, the power of 1 / r times 1 / r: at d = 3 a square
+        # and a product, which round alike with and without AVX-512
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = 1.0 / r
+            return (2 - self.d) * (1 - self.d) * inv ** (self.d - 1) * inv
+
 
 class LogPotential(Potential):
     """Diagnostic harmonic kernel -log r in two dimensions; not realizable."""
@@ -326,6 +409,11 @@ class LogPotential(Potential):
         # +inf and -inf, silently, at r = 0; the slope is -inf below 1 / DBL_MAX
         with np.errstate(divide="ignore", over="ignore"):
             return -np.log(r), -1.0 / r
+
+    def d2phi(self, r):
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = 1.0 / np.asarray(r, dtype=float)
+            return inv * inv
 
 
 # ---------------------------------------------------------------------------

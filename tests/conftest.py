@@ -113,3 +113,38 @@ def gradient_flow_field(obj, hyp):
     """Per-node field -grad_theta(L/2); the particle velocities of the system
     with mobile charges a at theta and fixed charges b at w."""
     return -0.5 * obj.grad(hyp)[1]
+
+
+def fd_hessian(grad, x, h=1e-4):
+    """Hessian from central differences of a gradient callable,
+    J[i] = (grad(x + h e_i) - grad(x - h e_i)) / 2h, symmetrized as
+    (J + J^T)/2: the oracle of the analytic Hessian. With tangent-projected
+    sphere gradients its quadratic form is the Riemannian Hessian's on
+    tangent vectors only."""
+    x = np.asarray(x, dtype=float)
+    jac = np.array([grad(x + e) - grad(x - e) for e in np.eye(x.size) * h]) / (2.0 * h)
+    return 0.5 * (jac + jac.T)
+
+
+class FunctionObjective:
+    """Plain callables as a Euclidean descent objective (``value_and_grad``,
+    ``hess``, ``project``); a missing Hessian falls back to central
+    differences of the gradient."""
+
+    def __init__(self, f, grad, hess=None):
+        self._f = f
+        self._grad = lambda x: np.asarray(grad(x), dtype=float)
+        self._hess = hess
+
+    def value_and_grad(self, x):
+        x = np.asarray(x, dtype=float)
+        return float(self._f(x)), self._grad(x)
+
+    def hess(self, x):
+        x = np.asarray(x, dtype=float)
+        if self._hess is not None:
+            return np.asarray(self._hess(x), dtype=float)
+        return fd_hessian(self._grad, x)
+
+    def project(self, x):
+        return x

@@ -6,7 +6,6 @@ import pytest
 from chargeflow.descent import (
     DescentConfig,
     DescentReport,
-    FunctionObjective,
     IterationRecord,
     RandomBallInit,
     gd,
@@ -32,6 +31,8 @@ from chargeflow.potentials import (
     LaplaceExpPotential,
     parse_potential,
 )
+
+from conftest import FunctionObjective
 
 
 def quadratic_objective(m, q=None):

@@ -73,8 +73,8 @@ class TestEarnshaw:
         assert v1.digest == v1b.digest
 
     def test_trace_has_the_whole_hessian_block_bits(self):
-        # node i's trace is read off differences of node i's coordinates
-        # alone, with the bits of the whole Hessian's block
+        # node i's trace is read off node i's theta block of the analytic
+        # Hessian, with the bits of the whole Hessian's block
         rng = np.random.default_rng(4)
         for pot, k, d in (
             (CoulombPotential(3), 3, 3),

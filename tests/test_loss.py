@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,6 @@ from chargeflow.loss import (
     Objective,
     TargetNetwork,
     VectorObjective,
-    fd_hessian,
 )
 from chargeflow.potentials import (
     CoulombPotential,
@@ -29,13 +29,13 @@ from chargeflow.potentials import (
     parse_potential,
 )
 
-from conftest import fd_gradient, separated_points
+from conftest import fd_gradient, fd_hessian, separated_points
 
 
-def packed_hessian(obj, hyp, h):
+def packed_hessian(obj, hyp):
     """The loss Hessian over the packed (a, theta) vector."""
     vec = VectorObjective(obj, hyp.k, hyp.d)
-    return vec.hess(vec.pack(hyp), h)
+    return vec.hess(vec.pack(hyp))
 
 
 def rand_objective(rng, k=3, d=3, c=0.7, reg="none"):
@@ -373,7 +373,7 @@ class TestHessian:
         obj = rand_objective(rng, k=2)
         theta = rng.standard_normal((2, 3))
         hyp = Hypothesis(theta=theta, a=rng.uniform(-1, 1, 2))
-        h = packed_hessian(obj, hyp, h=1e-4)
+        h = packed_hessian(obj, hyp)
         gram = obj.potential.pairwise(theta, theta)
         np.fill_diagonal(gram, 1.0)
         np.testing.assert_allclose(h[:2, :2], 2.0 * gram, atol=1e-6)
@@ -383,8 +383,8 @@ class TestHessian:
         plain = rand_objective(rng, k=2, reg="none")
         reg = Objective(plain.potential, plain.target, regularization="charge")
         hyp = Hypothesis(theta=rng.standard_normal((2, 3)), a=rng.uniform(-1, 1, 2))
-        h0 = packed_hessian(plain, hyp, h=1e-4)
-        h1 = packed_hessian(reg, hyp, h=1e-4)
+        h0 = packed_hessian(plain, hyp)
+        h1 = packed_hessian(reg, hyp)
         np.testing.assert_allclose(h1[:2, :2] - h0[:2, :2], 2.0 * np.eye(2), atol=1e-6)
 
     def test_fd_hessian_on_quadratic(self):
@@ -398,7 +398,7 @@ class TestHessian:
         rng = np.random.default_rng(13)
         obj = rand_objective(rng, k=2)
         hyp = Hypothesis(theta=rng.standard_normal((2, 3)), a=rng.uniform(-1, 1, 2))
-        h = packed_hessian(obj, hyp, h=1e-4)
+        h = packed_hessian(obj, hyp)
         np.testing.assert_array_equal(h, h.T)
 
     @pytest.mark.parametrize(
@@ -421,7 +421,7 @@ class TestHessian:
             pts = separated_points(rng, k + 3, d, scale=2.0, min_sep=0.5)
         obj = Objective(pot, TargetNetwork(w=pts[k:], b=rng.uniform(-1, 1, 3)))
         theta, a = pts[:k], rng.uniform(-1, 1, k)
-        hess = packed_hessian(obj, Hypothesis(theta=theta, a=a), h=h)
+        hess = packed_hessian(obj, Hypothesis(theta=theta, a=a))
         for _ in range(5):
             va, vt = rng.standard_normal(k), rng.standard_normal((k, d))
             if sphere:
@@ -485,12 +485,160 @@ class TestSphereCurvature:
         np.testing.assert_allclose(np.abs(v), [0.0, np.sqrt(0.5), np.sqrt(0.5), 0.0], atol=1e-6)
 
     def test_euclidean_hessian_is_the_symmetrized_jacobian(self):
+        # off the sphere nothing is projected: the analytic Hessian is the
+        # symmetrized Jacobian of the gradient, to the oracle's accuracy
         rng = np.random.default_rng(71)
         obj = rand_objective(rng, k=2)
         vec = VectorObjective(obj, 2, 3)
         x = vec.pack(Hypothesis(theta=rng.standard_normal((2, 3)), a=rng.uniform(-1, 1, 2)))
         want = fd_hessian(lambda z: vec.value_and_grad(z)[1], x)
-        np.testing.assert_array_equal(vec.hess(x), want)
+        np.testing.assert_allclose(vec.hess(x), want, rtol=0, atol=1e-8 * np.abs(want).max())
+
+
+class TestAnalyticHessian:
+    """``VectorObjective.hess`` (the analytic ``Objective.hessian``) against
+    central differences of the analytic gradient, for every kernel kind. On
+    the sphere both are compared on the tangent space, P H P, where the
+    difference Jacobian of the projected gradient is the Riemannian
+    Hessian."""
+
+    KINDS = ["gauss:c=0.7", "exp1d:lambda=1", "almost:eps=0.1,lambda=1,d=3", "explh:lambda=1,d=3",
+             "coulomb:d=3", "log", "sign", "poly:l=3", "hermite-dual"]
+
+    @staticmethod
+    def kernel(kind):
+        if kind == "hermite-dual":
+            return HermiteDualPotential([0.2, 1.0, 0.4])
+        return parse_potential(kind)
+
+    @staticmethod
+    def points(pot, rng, n):
+        d = getattr(pot, "d", 3)
+        if pot.manifold != "sphere":
+            return separated_points(rng, n, d, scale=2.0, min_sep=0.5)
+        while True:
+            # the sign kernel's derivatives grow without bound as |rho| -> 1,
+            # where central differences lose their accuracy; the mpmath test
+            # below covers that range
+            pts = pot.retract(rng.standard_normal((n, d)))
+            rho = pts @ pts.T
+            np.fill_diagonal(rho, 0.0)
+            if np.abs(rho).max() <= 0.9:
+                return pts
+
+    @staticmethod
+    def tangent_projector(theta, k):
+        d = theta.shape[1]
+        p = np.eye(k + k * d)
+        for i in range(k):
+            node = slice(k + i * d, k + (i + 1) * d)
+            p[node, node] -= np.outer(theta[i], theta[i])
+        return p
+
+    def setup(self, kind, k, reg, seed):
+        pot = self.kernel(kind)
+        rng = np.random.default_rng(seed)
+        pts = self.points(pot, rng, k + 3)
+        obj = Objective(pot, TargetNetwork(w=pts[k:], b=rng.uniform(-1, 1, 3)), reg)
+        vec = VectorObjective(obj, k, pts.shape[1])
+        return vec, vec.pack(Hypothesis(theta=pts[:k], a=rng.uniform(-1, 1, k)))
+
+    @pytest.mark.parametrize("reg", ["none", "charge"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_fd_oracle(self, kind, k, reg):
+        vec, x = self.setup(kind, k, reg, seed=80 + k)
+        hess = vec.hess(x)
+        want = fd_hessian(lambda z: vec.value_and_grad(z)[1], x)
+        if vec.objective.potential.manifold == "sphere":
+            p = self.tangent_projector(x[k:].reshape(k, -1), k)
+            hess, want = p @ hess @ p, p @ want @ p
+        np.testing.assert_allclose(hess, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exactly_symmetric(self, kind):
+        vec, x = self.setup(kind, 3, "none", seed=84)
+        hess = vec.hess(x)
+        np.testing.assert_array_equal(hess, hess.T)
+
+    @pytest.mark.parametrize("kind", ["exp1d:lambda=1", "almost:eps=0.1,lambda=1,d=3",
+                                      "explh:lambda=1,d=3", "coulomb:d=3", "log"])
+    def test_zero_separation_raises_as_the_gradient(self, kind):
+        pot = self.kernel(kind)
+        d = getattr(pot, "d", 3)
+        w = np.zeros((1, d))
+        w[0, 0] = 1.0
+        obj = Objective(pot, TargetNetwork(w=w, b=[1.0]))
+        for theta in (w, np.vstack([w + 1.0, w + 1.0])):
+            hyp = Hypothesis(theta=theta, a=np.ones(len(theta)))
+            with pytest.raises(NonDifferentiablePoint):
+                obj.loss_and_grad(hyp)
+            with pytest.raises(NonDifferentiablePoint):
+                obj.hessian(hyp)
+
+    def test_smooth_origin_limit(self):
+        # a Gaussian node on a fixed charge: the kernel Hessian there is
+        # phi''(0) I = -c I, and the whole Hessian matches the oracle
+        obj = Objective(GaussianPotential(0.7), TargetNetwork(w=[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], b=[1.0, -0.5]))
+        vec = VectorObjective(obj, 1, 3)
+        x = np.array([0.6, 1.0, 0.0, 0.0])
+        hess = vec.hess(x)
+        want = fd_hessian(lambda z: vec.value_and_grad(z)[1], x)
+        np.testing.assert_allclose(hess, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    def test_sign_kink_raises(self):
+        obj = Objective(SignPotential(), TargetNetwork(w=[[0.0, 1.0, 0.0]], b=[1.0]))
+        with pytest.raises(NonDifferentiablePoint):
+            obj.hessian(Hypothesis(theta=[[0.0, -1.0, 0.0]], a=[0.5]))
+
+    def test_poly_witness_is_the_exact_smallest_eigenvalue(self):
+        # at the orthonormal critical point the tangent lambda_min is the
+        # witness -2 (l-2) l a^2 (here l = 3, a = -1.8 / sqrt(2)^3)
+        l, b = 3, np.array([0.9, 0.9, -0.4])
+        theta = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        obj = Objective(PolynomialPotential(l), TargetNetwork(w=np.eye(3), b=b))
+        a = obj.optimal_outer_weight(theta)[0]
+        lam, _ = min_eigpair(obj.hessian(Hypothesis(theta=[theta], a=[a])))
+        assert lam == pytest.approx(-2.0 * (l - 2) * l * a * a, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.96, 0.997])
+    def test_sign_near_alignment_against_mpmath(self, rho):
+        # v^T H v against an mpmath second difference of the loss along the
+        # retracted path t -> (a + t v_a, retract(theta + t v_theta)), which
+        # the metric projection makes second order; node 0 sits at inner
+        # product rho with the fixed w_0
+        mp = mpmath.mp
+        rng = np.random.default_rng(91)
+        theta = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        w = np.array([[rho, np.sqrt(1.0 - rho * rho), 0.0], [0.0, 0.0, 1.0]])
+        a, b = np.array([0.7, -0.4]), np.array([0.8, -0.5])
+        hess = Objective(SignPotential(), TargetNetwork(w=w, b=b)).hessian(Hypothesis(theta=theta, a=a))
+
+        with mp.workdps(60):
+            def kernel(u, v):
+                return 1 - 2 * mpmath.acos(sum(p * q for p, q in zip(u, v))) / mp.pi
+
+            def loss(t, va, vt):
+                nodes = []
+                for th, v in zip(theta, vt):
+                    y = [mpmath.mpf(p) + t * mpmath.mpf(q) for p, q in zip(th, v)]
+                    norm = mpmath.sqrt(sum(c * c for c in y))
+                    nodes.append([c / norm for c in y])
+                coef = [mpmath.mpf(ai) + t * mpmath.mpf(vi) for ai, vi in zip(a, va)]
+                wm = [[mpmath.mpf(c) for c in row] for row in w]
+                total = sum(c * c for c in coef)
+                for i in range(2):
+                    total += sum(coef[i] * coef[j] * kernel(nodes[i], nodes[j]) for j in range(2) if j != i)
+                    total += 2 * sum(coef[i] * mpmath.mpf(bj) * kernel(nodes[i], wj) for bj, wj in zip(b, wm))
+                return total
+
+            step = mpmath.mpf("1e-20")
+            for _ in range(3):
+                va, vt = rng.standard_normal(2), rng.standard_normal((2, 3))
+                vt -= np.sum(vt * theta, axis=1, keepdims=True) * theta
+                oracle = (loss(step, va, vt) - 2 * loss(0, va, vt) + loss(-step, va, vt)) / step**2
+                v = np.concatenate([va, vt.ravel()])
+                assert v @ hess @ v == pytest.approx(float(oracle), rel=1e-9)
 
 
 class TestNonFiniteInputs:
@@ -524,7 +672,7 @@ class TestThetaLaplacian:
 
     @staticmethod
     def trace(obj, hyp, i=0):
-        hess = packed_hessian(obj, hyp, h=1e-4)
+        hess = packed_hessian(obj, hyp)
         node = slice(hyp.k + i * hyp.d, hyp.k + (i + 1) * hyp.d)
         return np.trace(hess[node, node])
 

@@ -301,12 +301,36 @@ class TestPairCore:
             assert type(value) is type(want)
             assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
 
+    @pytest.mark.parametrize("kind", IDS + ["explh:lambda=1,d=7", "explh:lambda=0,d=3", "poly:l=1"])
+    def test_second_derivative_contract(self, kind):
+        # d2phi matches central differences of phi_and_dphi's slope
+        pot = self.kernel(kind)
+        s = np.linspace(-0.9, 0.9, 37) if pot.manifold == "sphere" else np.linspace(0.3, 25.0, 60)
+        h = 1e-6
+        fd = (pot.phi_and_dphi(s + h)[1] - pot.phi_and_dphi(s - h)[1]) / (2 * h)
+        np.testing.assert_allclose(pot.d2phi(s), fd, rtol=1e-6, atol=1e-8)
+
+    def test_table_second_derivative_by_region(self, almost_table):
+        # 0 on the flat core, the closed-form tail over z beyond the grid,
+        # and on the grid the curvature of each interval's own cubic
+        tab, g = almost_table, almost_table.r_grid
+        np.testing.assert_array_equal(tab.d2phi(np.array([0.0, 0.5 * g[1]])), 0.0)
+        far = np.array([g[-1] + 0.5, 30.0])
+        np.testing.assert_array_equal(tab.d2phi(far), tab._tail.d2phi(far) / tab.z)
+        mid = np.sqrt(g[1:-1] * g[2:])  # geometric midpoints of the intervals
+        h = 0.01 * (g[2:] - g[1:-1])
+        fd = (tab.value_and_deriv(mid + h)[1] - tab.value_and_deriv(mid - h)[1]) / (2 * h)
+        np.testing.assert_allclose(tab.d2phi(mid), fd, rtol=1e-5, atol=1e-7)
+        assert isinstance(tab.d2phi(1.0), float)
+
     def test_sign_phi_is_defined_at_its_kinks(self):
         pot = SignPotential()
         np.testing.assert_array_equal(pot.phi(np.array([-1.0, 1.0])), [-1.0, 1.0])
         for rho in (-1.0, 1.0):
             with pytest.raises(NonDifferentiablePoint):
                 pot.phi_and_dphi(rho)
+            with pytest.raises(NonDifferentiablePoint):
+                pot.d2phi(rho)
 
     @pytest.mark.parametrize("kind", ["explh:lambda=1,d=3", "coulomb:d=3", "log", "coulomb:d=1"])
     def test_raw_singular_kernels_are_silent_near_zero(self, kind):
@@ -315,6 +339,7 @@ class TestPairCore:
         r = np.array([0.0, 5e-324, 1e-300])
         val, slope = pot.phi_and_dphi(r)
         assert not np.isnan(val).any() and not np.isnan(slope).any()
+        assert not np.isnan(pot.d2phi(r)).any()
         np.testing.assert_array_equal(pot.phi(r), val)
         if kind == "coulomb:d=1":
             np.testing.assert_array_equal(val, r)
@@ -338,6 +363,7 @@ class TestPairCore:
         val, slope = pot.phi_and_dphi(r)
         assert not np.isnan(pot.phi(r)).any()
         assert not np.isnan(val).any() and not np.isnan(slope).any()
+        np.testing.assert_array_equal(pot.d2phi(r), 0.0)
 
     @pytest.mark.parametrize("kind", IDS)
     def test_blocks_match_scalar_oracle(self, kind):
@@ -362,6 +388,52 @@ class TestPairCore:
                     assert k[i, j] == pytest.approx(eval_potential(pot, x[i], block_y[j]), rel=1e-12)
                     basis, fd = self.fd_grad(pot, x[i], block_y[j])
                     np.testing.assert_allclose(basis @ g[i, j], fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", IDS)
+    def test_hessian_blocks_match_gradient_differences(self, kind):
+        # H[i, j] and X[i, j] against central differences of the ambient
+        # pair gradient in x_i and in y_j
+        pot = self.kernel(kind)
+        rng = np.random.default_rng(32)
+        d = getattr(pot, "d", 3)
+        if pot.manifold == "sphere":
+            pts = pot.retract(rng.standard_normal((7, d)))
+        else:
+            pts = separated_points(rng, 7, d, scale=2.0, min_sep=0.5)
+        x, y = pts[:3], pts[3:]
+        grad = lambda p, q: pot.pairwise_grad(p[None], q[None])[1][0, 0]
+        step = 1e-6 * np.eye(d)
+        for block_y, self_pairs in ((y, False), (x, True)):
+            h, mixed = pot.pairwise_hess(x, None if self_pairs else y)
+            assert h.shape == mixed.shape == (len(x), len(block_y), d, d)
+            for i in range(len(x)):
+                for j in range(len(block_y)):
+                    if self_pairs and i == j:
+                        assert not np.any(h[i, j]) and not np.any(mixed[i, j])
+                        continue
+                    p, q = x[i], block_y[j]
+                    fd_h = np.array([grad(p + e, q) - grad(p - e, q) for e in step]).T / 2e-6
+                    fd_x = np.array([grad(p, q + e) - grad(p, q - e) for e in step]).T / 2e-6
+                    np.testing.assert_allclose(h[i, j], fd_h, rtol=1e-6, atol=1e-8)
+                    np.testing.assert_allclose(mixed[i, j], fd_x, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["exp1d:lambda=1", "explh:lambda=1,d=3", "coulomb:d=3", "log"])
+    def test_hessian_blocks_refuse_zero_separation(self, kind, almost_table):
+        for pot in (parse_potential(kind), almost_table):
+            x = np.ones((1, getattr(pot, "d", 3)))
+            with pytest.raises(NonDifferentiablePoint):
+                pot.pairwise_hess(x, x.copy())
+            with pytest.raises(NonDifferentiablePoint):
+                pot.pairwise_hess(np.vstack([x, x]))
+
+    def test_hessian_blocks_take_the_smooth_origin_limit(self):
+        pot = GaussianPotential(0.7)
+        x = np.array([[0.3, -1.0, 2.0]])
+        h, mixed = pot.pairwise_hess(x, x.copy())
+        np.testing.assert_array_equal(h[0, 0], -0.7 * np.eye(3))
+        np.testing.assert_array_equal(mixed[0, 0], 0.7 * np.eye(3))
+        with pytest.raises(NonDifferentiablePoint):
+            SignPotential().pairwise_hess(np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]]))
 
 
 class TestRetract:

@@ -53,25 +53,14 @@ from .loss import (
     VectorObjective,
 )
 from .potentials import (
-    Activation,
-    BesselK0Activation,
-    BesselK1RadialActivation,
     CoulombPotential,
-    GaussianActivation,
     GaussianPotential,
-    HermiteActivation,
-    HermiteDualPotential,
     LaplaceExpPotential,
     LogPotential,
     PolynomialPotential,
     Potential,
-    SignActivation,
     SignPotential,
-    activation_from_potential_taylor,
-    dual_from_hermite,
-    empirical_dual,
     parse_potential,
-    realizability_certificate_radial,
 )
 
 __version__ = "0.1.0"

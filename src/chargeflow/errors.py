@@ -17,22 +17,15 @@ class SingularDiagonal(ChargeflowError):
     """Kernel diverges at zero separation and the query hit it."""
 
 
-class NegativeCoefficient(ChargeflowError):
-    """A series coefficient that must be non-negative is negative."""
-
-    def __init__(self, index, value):
-        super().__init__(f"coefficient {index} is negative ({value})")
-        self.index = index
-        self.value = value
-
-
 class NonFiniteSample(ChargeflowError):
-    """A Monte-Carlo sample (activation overflow), an input point, a weight
-    or a charge is inf/nan."""
+    """An input point, a weight, a charge, an init score or a matching cost
+    is inf/nan."""
 
 
 class GridTooCoarse(ChargeflowError):
-    """Radial grid cannot support the requested transform."""
+    """A radial grid too coarse for its interpolant: in the package, a
+    log-log cubic of the ``almost`` tabulation that overshoots between its
+    knots."""
 
 
 class UnsupportedDimension(ChargeflowError):

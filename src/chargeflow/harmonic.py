@@ -306,12 +306,10 @@ class TabulatedPotential(Potential):
 
     # -- evaluation --------------------------------------------------------
 
-    def _evaluate(self, r):
-        """(value, d value / d r): the constant below the first positive
-        knot, the log-log cubic up to the last knot, the closed-form tail
-        beyond it and for NaN. Every region is evaluated at every radius
-        (clamped into its range) and ``where`` picks per radius."""
-        r = np.asarray(r, dtype=float)
+    def _locate(self, r):
+        """The lookup both evaluators share: each radius clamped into the
+        knot range (rc), its log-log interval's cubic coefficients and its
+        offset t into that interval, and the cubic's value v at rc."""
         g = self.r_grid
         rc = np.minimum(np.maximum(r, g[1]), g[-1])
         x = np.log(rc)
@@ -320,6 +318,16 @@ class TabulatedPotential(Potential):
         t = x - self._x[idx]
         c0, c1, c2, c3 = self._c.take(idx, axis=1)
         v = np.exp(((c3 * t + c2) * t + c1) * t + c0)
+        return rc, t, c1, c2, c3, v
+
+    def _evaluate(self, r):
+        """(value, d value / d r): the constant below the first positive
+        knot, the log-log cubic up to the last knot, the closed-form tail
+        beyond it and for NaN. Every region is evaluated at every radius
+        (clamped into its range) and ``where`` picks per radius."""
+        r = np.asarray(r, dtype=float)
+        g = self.r_grid
+        rc, t, c1, c2, c3, v = self._locate(r)
         dv = v * ((3.0 * c3 * t + 2.0 * c2) * t + c1) / rc
         tail, slope = self._tail.phi_and_deriv(np.maximum(r, g[-1]))
         below, on_grid = r < g[1], r <= g[-1]
@@ -338,18 +346,13 @@ class TabulatedPotential(Potential):
         return self._evaluate(r)
 
     def d2phi(self, r):
-        """Second derivative in r, by region as ``_evaluate``: 0 on the flat
-        core; on the grid, with y(log r) the log-log cubic, v (y'^2 + y'' -
-        y') / r^2; beyond it the closed-form tail's over z. Its own lookup
-        keeps ``_evaluate``, the descent and init path, as it is."""
+        """Second derivative in r, by region as ``_evaluate`` and through
+        its ``_locate`` lookup: 0 on the flat core; on the grid, with y(log r)
+        the log-log cubic, v (y'^2 + y'' - y') / r^2; beyond it the
+        closed-form tail's over z."""
         r = np.asarray(r, dtype=float)
         g = self.r_grid
-        rc = np.minimum(np.maximum(r, g[1]), g[-1])
-        x = np.log(rc)
-        idx = np.minimum(self._x.searchsorted(x, side="right") - 1, self._x.size - 2)
-        t = x - self._x[idx]
-        c0, c1, c2, c3 = self._c.take(idx, axis=1)
-        v = np.exp(((c3 * t + c2) * t + c1) * t + c0)
+        rc, t, c1, c2, c3, v = self._locate(r)
         y1 = (3.0 * c3 * t + 2.0 * c2) * t + c1
         y2 = 6.0 * c3 * t + 2.0 * c2
         curv = v * (y1 * y1 + y2 - y1) / (rc * rc)

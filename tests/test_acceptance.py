@@ -18,17 +18,14 @@ from chargeflow.landscape import earnshaw_trace_check, eigstrict_laplacian_check
 from chargeflow.loss import Hypothesis, Objective, TargetNetwork
 from chargeflow.potentials import (
     CoulombPotential,
-    GaussianActivation,
     GaussianPotential,
-    HermiteActivation,
     LogPotential,
     PolynomialPotential,
-    SignActivation,
     SignPotential,
-    empirical_dual,
 )
 
 from conftest import eval_potential, gradient_flow_field, radial_laplacian, separated_points
+from duality import GaussianActivation, HermiteActivation, SignActivation, empirical_dual
 
 
 def report(number, name, passed, detail=""):

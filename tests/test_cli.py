@@ -17,24 +17,42 @@ from conftest import README_KERNEL_IDS
 
 
 def test_import_loads_no_scipy():
-    # importing loads no scipy, and neither does a tiny recovery, which
-    # matches its nodes without scipy.optimize
+    # every subcommand runs with scipy unimportable: a meta-path finder makes
+    # any import of scipy or a scipy submodule raise ImportError. Recovery
+    # matches its nodes without scipy.optimize.
     src = os.path.dirname(os.path.dirname(chargeflow.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    recovery = (
-        "chargeflow.cli.main(['recovery', '--k', '2', '--seeds', '0,', '--trials', '20000', "
-        "'--descent-T', '300']); "
+    runs = [
+        ["verify", "--seed", "0"],
+        *(["potential-info", "--potential", pid] for pid in README_KERNEL_IDS),
+        ["table", "--depths", "2", "--widths", "2", "--seeds", "0,", "--iters", "1",
+         "--n-train", "8", "--n-test", "8"],
+        ["dynamics", "--potential", "poly:l=3", "--k", "2", "--d", "3", "--dt", "0.1", "--steps", "2"],
+        ["recovery", "--k", "2", "--seeds", "0,", "--trials", "20000", "--descent-T", "300"],
+    ]
+    code = f"""
+import contextlib, io, json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{{name}} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import chargeflow.cli
+codes = []
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(chargeflow.cli.main(argv))
+print(json.dumps([codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
     )
-    for run in ("", recovery):
-        code = (
-            f"import sys, chargeflow, chargeflow.cli; {run}"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
-            timeout=120,
-        )
-        assert out.stdout.strip().splitlines()[-1] == "[]"
+    codes, loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert dict(zip(map(" ".join, runs), codes)) == {" ".join(argv): 0 for argv in runs}
+    assert loaded == []
 
 
 class TestTable:

@@ -22,7 +22,6 @@ from chargeflow.loss import (
 from chargeflow.potentials import (
     CoulombPotential,
     GaussianPotential,
-    HermiteDualPotential,
     LogPotential,
     PolynomialPotential,
     SignPotential,
@@ -30,6 +29,7 @@ from chargeflow.potentials import (
 )
 
 from conftest import fd_gradient, fd_hessian, separated_points
+from duality import HermiteDualPotential
 
 
 def packed_hessian(obj, hyp):

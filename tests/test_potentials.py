@@ -5,7 +5,6 @@ from chargeflow import harmonic
 from chargeflow.errors import (
     DimensionMismatch,
     GridTooCoarse,
-    NegativeCoefficient,
     NonDifferentiablePoint,
     NonFiniteSample,
     OffManifold,
@@ -14,27 +13,30 @@ from chargeflow.errors import (
 )
 from chargeflow.harmonic import LambdaHarmonicRadial
 from chargeflow.potentials import (
+    GaussianPotential,
+    LaplaceExpPotential,
+    PolynomialPotential,
+    SignPotential,
+    min_separation,
+    pair_distances,
+    parse_potential,
+)
+
+from conftest import README_KERNEL_IDS, eval_potential, separated_points
+from duality import (
     BesselK0Activation,
     BesselK1RadialActivation,
     GaussianActivation,
-    GaussianPotential,
     HermiteActivation,
     HermiteDualPotential,
-    LaplaceExpPotential,
-    PolynomialPotential,
+    NegativeCoefficient,
     SignActivation,
-    SignPotential,
     activation_from_potential_taylor,
     dual_from_hermite,
     empirical_dual,
     hermite_eval,
-    min_separation,
-    pair_distances,
-    parse_potential,
     realizability_certificate_radial,
 )
-
-from conftest import README_KERNEL_IDS, eval_potential, separated_points
 
 
 def unit(v):

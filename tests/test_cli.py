@@ -18,8 +18,9 @@ from conftest import README_KERNEL_IDS
 
 def test_import_loads_no_scipy():
     # every subcommand runs with scipy unimportable: a meta-path finder makes
-    # any import of scipy or a scipy submodule raise ImportError. Recovery
-    # matches its nodes without scipy.optimize.
+    # any import of scipy or a scipy submodule raise ImportError, and records
+    # the name, so an import attempt caught by a try/except fails the test
+    # too. Recovery matches its nodes without scipy.optimize.
     src = os.path.dirname(os.path.dirname(chargeflow.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     runs = [
@@ -33,9 +34,12 @@ def test_import_loads_no_scipy():
     code = f"""
 import contextlib, io, json, sys
 
+blocked = []
+
 class NoScipy:
     def find_spec(self, name, path=None, target=None):
         if name == "scipy" or name.startswith("scipy."):
+            blocked.append(name)
             raise ImportError(f"{{name}} is blocked")
 
 sys.meta_path.insert(0, NoScipy())
@@ -44,15 +48,15 @@ codes = []
 for argv in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(chargeflow.cli.main(argv))
-print(json.dumps([codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+print(json.dumps([codes, blocked]))
 """
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
         timeout=120,
     )
-    codes, loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    codes, blocked = json.loads(out.stdout.strip().splitlines()[-1])
     assert dict(zip(map(" ".join, runs), codes)) == {" ".join(argv): 0 for argv in runs}
-    assert loaded == []
+    assert blocked == []
 
 
 class TestTable:

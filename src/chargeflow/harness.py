@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .descent import DescentConfig, RandomBallInit, node_wise_descent
+from .descent import DescentConfig, RandomBallInit, node_wise_descent, one_blas_thread
 from .errors import DimensionMismatch, DivergedLoss, NonFiniteSample
 from .loss import Objective, TargetNetwork
 from .potentials import min_separation, pair_distances, parse_potential
@@ -149,6 +149,7 @@ def generate_separated_target(d, k, seed, separation):
 # ---------------------------------------------------------------------------
 
 
+@one_blas_thread()
 def sgd_train(config: ExperimentConfig, target: LayeredNetwork, depth, width, seed):
     """Minibatch SGD on the empirical squared loss of a same-architecture
     student; returns a ResultRow with train/test errors on the sampled sets."""
@@ -332,7 +333,7 @@ def recovery_experiment(config: ExperimentConfig):
         radius = config.radius_mult * float(np.max(np.linalg.norm(target.w, axis=1)))
         policy = RandomBallInit(radius=radius, trials=config.trials)
         cfg = replace(base_cfg, seed=seed * 1000)
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         result = node_wise_descent(obj, policy, cfg)
         perm, max_dist, max_charge = match_to_target(result.theta, result.a, target)
         records.append(
@@ -347,6 +348,7 @@ def recovery_experiment(config: ExperimentConfig):
                 "recovered": bool(max_dist < 0.1 and max_charge < 0.1),
                 "iterations": [r.iterations for r in result.reports],
                 "wall_ms": (time.perf_counter() - t0) * 1e3,
+                "cpu_ms": (time.process_time() - c0) * 1e3,
             }
         )
     return {

@@ -1,4 +1,8 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -818,3 +822,117 @@ class TestNodeWise:
         assert sorted(perm.tolist()) == [0, 1]  # distinct matches
         assert all(dist[i, perm[i]] < 0.1 for i in range(2))
         assert all(abs(result.a[i] + tgt.b[perm[i]]) < 0.1 for i in range(2))
+
+
+# the variables OpenBLAS reads its thread count from
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_interpreter(code, **env):
+    """Run code in a new interpreter with no BLAS thread variable set but
+    ``env``; returns its last stdout line parsed as JSON."""
+    src = os.path.dirname(os.path.dirname(descent.__file__))
+    full = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    full.update(PYTHONPATH=src, **env)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=full, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas(self):
+        """numpy's OpenBLAS (get, set) at a count of 2, restored after."""
+        found = descent._openblas_threads()
+        if found is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread setter, or a thread variable is set")
+        get, put = found
+        before = get()
+        put(2)
+        yield get, put
+        put(before)
+
+    def test_one_thread_inside_and_the_callers_count_after(self, blas):
+        get, _ = blas
+        with descent.one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(EigenSolveFailure):
+            min_eigpair(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError), descent.one_blas_thread():
+            assert get() == 1
+            raise ValueError("body")
+        assert get() == 2
+
+    def test_nested_scope_restores_once(self, blas, monkeypatch):
+        get, put = blas
+        calls = []
+
+        def record(n):
+            calls.append(n)
+            put(n)
+
+        monkeypatch.setattr(descent, "_openblas_threads", lambda: (get, record))
+        with descent.one_blas_thread():
+            with descent.one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+        assert calls == [1, 2]
+
+    def test_no_symbols_is_a_no_op(self, blas, monkeypatch):
+        get, _ = blas
+        # a library that exports neither symbol
+        monkeypatch.setattr(descent.ctypes, "CDLL", lambda path: object())
+        assert descent._openblas_threads.__wrapped__() is None
+        monkeypatch.setattr(descent, "_openblas_threads", descent._openblas_threads.__wrapped__)
+        with descent.one_blas_thread():
+            assert get() == 2
+
+    def test_user_set_count_is_kept(self, blas):
+        code = """
+import ctypes, json
+import numpy as np
+from chargeflow.descent import one_blas_thread
+
+get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+with one_blas_thread():
+    inside = get()
+print(json.dumps([get(), inside]))
+"""
+        assert fresh_interpreter(code, OPENBLAS_NUM_THREADS="2") == [2, 2]
+
+    def test_no_second_core_spins(self, blas):
+        # a fresh interpreter, since an earlier test's threaded BLAS call can
+        # leave a worker spin-waiting for about 0.1 s; the package's BLAS-heavy
+        # work (a flow-sized curvature check, a 2^19-trial init and an SGD
+        # run) keeps CPU time at wall time, where a spinning second OpenBLAS
+        # thread doubles it
+        code = """
+import json, time
+import numpy as np
+from chargeflow import descent, harness, loss, potentials
+
+rng = np.random.default_rng(0)
+gauss = potentials.parse_potential("gauss:c=1")
+k, d = 30, 3
+flow = loss.Objective(gauss, loss.TargetNetwork(w=rng.standard_normal((k, d)), b=rng.uniform(-1, 1, k)))
+vec = loss.VectorObjective(flow, k, d)
+x = vec.pack(loss.Hypothesis(theta=rng.standard_normal((k, d)), a=rng.uniform(-1, 1, k)))
+w = 3.0 * rng.standard_normal((3, d))
+init = loss.Objective(gauss, loss.TargetNetwork(w=w, b=np.array([1.0, -0.5, 0.7])))
+config = harness.ExperimentConfig(iters=2000)
+teacher = harness.generate_target(config.d, 2, 5, 0)
+c0, t0 = time.process_time(), time.perf_counter()
+while time.perf_counter() - t0 < 0.3:
+    for _ in range(20):
+        descent.stationarity_check(vec, x, 1e-3)
+    descent.initialize_node(init, descent.RandomBallInit(radius=8.0, trials=1 << 19))
+    harness.sgd_train(config, teacher, 2, 5, 0)
+print(json.dumps([time.process_time() - c0, time.perf_counter() - t0]))
+"""
+        cpu, wall = fresh_interpreter(code)
+        assert wall >= 0.3
+        assert cpu <= 1.3 * wall
